@@ -79,7 +79,7 @@ pub use pagerank::{
     pagerank, pagerank_warm, pagerank_warm_with_pool, pagerank_with_pool, Orientation,
     PageRankConfig, PageRankResult,
 };
-pub use placer::{PageRankEviction, PageRankVmPlacer};
+pub use placer::{PageRankEviction, PageRankVmPlacer, RankedOptions};
 pub use profile::{KindSpace, Profile, ProfileSpace, ProfileVm};
 pub use prvm_par::Pool;
 pub use table::{ScoreBook, ScoreTable};

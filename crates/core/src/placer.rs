@@ -1,13 +1,85 @@
 //! The PageRankVM placement algorithm (Algorithm 2) and its eviction rule.
 
-use crate::table::ScoreBook;
+use crate::table::{ScoreBook, ScoreTable};
 use prvm_model::combin::distinct_placements;
 use prvm_model::units::convert;
 use prvm_model::{
     Assignment, Cluster, EvictionPolicy, Mhz, PlacementAlgorithm, PlacementDecision, Pm, PmId,
-    VmId, VmSpec,
+    QuantizedVm, VmId, VmSpec,
 };
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
+
+/// FNV-1a over 64-bit words: deterministic across runs and platforms (no
+/// `RandomState`, D002), like the profile interner's hash. Keys are small
+/// quantized unit counts, never raw outside input, and the cache holds at
+/// most 2 × used PMs of them.
+#[derive(Debug, Clone, Copy)]
+struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for Fnv {
+    fn write(&mut self, bytes: &[u8]) {
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let word = <[u8; 8]>::try_from(word).map_or(0, u64::from_le_bytes);
+            self.0 = (self.0 ^ word).wrapping_mul(PRIME);
+        }
+        for &byte in words.remainder() {
+            self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(PRIME);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Every scored way of hosting one quantized VM on one quantized PM
+/// usage, best first: score descending, enumeration order among equal
+/// scores. Built by [`PageRankVmPlacer::ranked_options`].
+#[derive(Debug, Clone, Default)]
+pub struct RankedOptions {
+    /// Distinct core placements of the vCPUs.
+    cores: Vec<Vec<usize>>,
+    /// Distinct disk placements of the virtual disks.
+    disks: Vec<Vec<usize>>,
+    /// `(score, index into cores, index into disks)`, ranked.
+    ranked: Vec<(f64, usize, usize)>,
+}
+
+impl RankedOptions {
+    /// The options as `(score, assignment)`, best first.
+    pub fn iter(&self) -> impl Iterator<Item = (f64, Assignment)> + '_ {
+        self.ranked
+            .iter()
+            .map(|&(score, c, d)| (score, self.assignment(c, d)))
+    }
+
+    fn assignment(&self, c: usize, d: usize) -> Assignment {
+        let cores = self.cores.get(c).cloned().unwrap_or_default();
+        let disks = self.disks.get(d).cloned().unwrap_or_default();
+        Assignment::new(cores, disks)
+    }
+
+    /// The best option scoring strictly above `floor` (any score when
+    /// `None`) that `pm`'s real-unit validator accepts. vCPU slots round
+    /// to nearest, so a quantized option can be slightly optimistic.
+    fn first_valid(&self, pm: &Pm, vm: &VmSpec, floor: Option<f64>) -> Option<(f64, Assignment)> {
+        self.ranked
+            .iter()
+            .take_while(|(score, _, _)| floor.is_none_or(|f| *score > f))
+            .map(|&(score, c, d)| (score, self.assignment(c, d)))
+            .find(|(_, assignment)| pm.validate(vm, assignment).is_ok())
+    }
+}
 
 /// PageRank-based VM placement with anti-collocation constraints.
 ///
@@ -17,6 +89,11 @@ use std::sync::Arc;
 /// selects the PM (and permutation) with the maximum score. If no used PM
 /// fits, the first unused PM with sufficient resources is opened
 /// (Algorithm 2 lines 17–24).
+///
+/// PMs with the same type and the same quantized usage rank a VM's
+/// options identically, so the placer keeps each ranked list in a cache
+/// keyed by content (table, quantized VM, quantized usage) and scores a
+/// distinct usage once rather than once per PM (DESIGN.md §5).
 ///
 /// # Example
 ///
@@ -52,13 +129,19 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct PageRankVmPlacer {
     book: Arc<ScoreBook>,
+    /// Ranked options by flattened key: table index, quantized usage,
+    /// quantized VM (see `choose`). Holds at most 2 × used PMs entries.
+    cache: HashMap<Vec<u64>, RankedOptions, BuildHasherDefault<Fnv>>,
 }
 
 impl PageRankVmPlacer {
     /// Create a placer over a pre-built [`ScoreBook`].
     #[must_use]
     pub fn new(book: Arc<ScoreBook>) -> Self {
-        Self { book }
+        Self {
+            book,
+            cache: HashMap::default(),
+        }
     }
 
     /// The shared score book (also used by [`PageRankEviction`]).
@@ -67,22 +150,46 @@ impl PageRankVmPlacer {
         &self.book
     }
 
+    /// Number of ranked option lists currently cached.
+    #[must_use]
+    pub fn cache_len(&self) -> usize {
+        self.cache.len()
+    }
+
     /// The best `(score, assignment)` for hosting `vm` on `pm`, evaluating
     /// every distinct permutation of the VM's demands in quantized space
-    /// (Algorithm 2, lines 6–7).
+    /// (Algorithm 2, lines 6–7): the first of
+    /// [`Self::ranked_options`] that the real-unit validator accepts.
     ///
     /// Returns `None` when the PM type has no table, the placement is
     /// quantized-infeasible, or every resulting profile falls outside the
     /// graph.
     #[must_use]
     pub fn best_option(&self, pm: &Pm, vm: &VmSpec) -> Option<(f64, Assignment)> {
-        let book = &self.book;
-        let table = book.table(pm.spec())?;
-        let space = table.space();
-        let quantizer = book.quantizer();
+        let table = self.book.table(pm.spec())?;
+        let quantizer = self.book.quantizer();
         let qvm = quantizer.quantize_vm(vm, pm.spec());
         let (cores, mem, disks) = quantizer.quantized_usage(pm);
+        self.ranked_options(table, &qvm, &cores, mem, &disks)
+            .first_valid(pm, vm, None)
+    }
 
+    /// Every scored option for hosting the quantized VM `qvm` on a PM of
+    /// `table`'s type with quantized usage `(cores, mem, disks)`, ranked
+    /// best first (stable: enumeration order breaks ties). A pure
+    /// function of its arguments — no PM, no real units — so one list
+    /// serves every PM with the same type and usage.
+    #[must_use]
+    pub fn ranked_options(
+        &self,
+        table: &ScoreTable,
+        qvm: &QuantizedVm,
+        cores: &[u64],
+        mem: u64,
+        disks: &[u64],
+    ) -> RankedOptions {
+        prvm_obs::counter!("placer.profiles_scored");
+        let space = table.space();
         let cap_of = |name: &str| -> u64 {
             space
                 .kinds()
@@ -94,32 +201,28 @@ impl PageRankVmPlacer {
         // Memory is a single scalar dimension.
         let mem_cap = cap_of("mem");
         if mem + qvm.mem_units > mem_cap && qvm.mem_units > 0 {
-            return None;
+            return RankedOptions::default();
         }
         let new_mem = mem + qvm.mem_units;
 
         let core_caps = vec![cap_of("cores"); cores.len()];
         let cpu_demands = vec![qvm.vcpu_slots; qvm.vcpus];
-        let core_options = distinct_placements(&cores, &core_caps, &cpu_demands);
-        if core_options.is_empty() {
-            return None;
-        }
-
+        let core_options = distinct_placements(cores, &core_caps, &cpu_demands);
         let disk_caps = vec![cap_of("disks"); disks.len()];
-        let disk_options = distinct_placements(&disks, &disk_caps, &qvm.disk_units);
-        if disk_options.is_empty() {
-            return None;
+        let disk_options = distinct_placements(disks, &disk_caps, &qvm.disk_units);
+        if core_options.is_empty() || disk_options.is_empty() {
+            return RankedOptions::default();
         }
         prvm_obs::counter!(
             "placer.permutations_evaluated",
             convert::usize_to_u64(core_options.len() * disk_options.len())
         );
 
-        let mut best: Option<(f64, Assignment)> = None;
-        let mut new_cores = cores.clone();
-        let mut new_disks = disks.clone();
-        'cores: for co in &core_options {
-            new_cores.copy_from_slice(&cores);
+        let mut ranked = Vec::new();
+        let mut new_cores = cores.to_vec();
+        let mut new_disks = disks.to_vec();
+        'cores: for (ci, co) in core_options.iter().enumerate() {
+            new_cores.copy_from_slice(cores);
             for (&c, &demand) in co.iter().zip(&cpu_demands) {
                 let Some(slot) = new_cores.get_mut(c) else {
                     debug_assert!(false, "core index {c} out of range");
@@ -127,8 +230,8 @@ impl PageRankVmPlacer {
                 };
                 *slot += demand;
             }
-            'disks: for do_ in &disk_options {
-                new_disks.copy_from_slice(&disks);
+            'disks: for (di, do_) in disk_options.iter().enumerate() {
+                new_disks.copy_from_slice(disks);
                 for (&d, &units) in do_.iter().zip(&qvm.disk_units) {
                     let Some(slot) = new_disks.get_mut(d) else {
                         debug_assert!(false, "disk index {d} out of range");
@@ -136,21 +239,23 @@ impl PageRankVmPlacer {
                     };
                     *slot += units;
                 }
-                let profile = book.usage_profile(space, &new_cores, new_mem, &new_disks);
+                let profile = self
+                    .book
+                    .usage_profile(space, &new_cores, new_mem, &new_disks);
                 if let Some(score) = table.score(&profile) {
-                    if best.as_ref().is_none_or(|(b, _)| score > *b) {
-                        // vCPU slots round to nearest, so a quantized
-                        // option can be slightly optimistic: gate on the
-                        // real-unit validator before accepting.
-                        let assignment = Assignment::new(co.clone(), do_.clone());
-                        if pm.validate(vm, &assignment).is_ok() {
-                            best = Some((score, assignment));
-                        }
-                    }
+                    ranked.push((score, ci, di));
                 }
             }
         }
-        best
+        // Stable: equal scores keep enumeration order, so the first valid
+        // option is the one the strict-`>` scan over enumeration order
+        // would keep.
+        ranked.sort_by(|a, b| b.0.total_cmp(&a.0));
+        RankedOptions {
+            cores: core_options,
+            disks: disk_options,
+            ranked,
+        }
     }
 }
 
@@ -165,9 +270,22 @@ impl PlacementAlgorithm for PageRankVmPlacer {
         vm: &VmSpec,
         exclude: &dyn Fn(PmId) -> bool,
     ) -> Option<PlacementDecision> {
-        // One span per VM placed; `best_option` below stays span-free
-        // (it runs once per scanned PM, far too hot — see lint.toml).
+        // One span per VM placed; `ranked_options` below stays span-free
+        // (it runs once per distinct scanned usage, too hot — see
+        // lint.toml).
         let _span = prvm_obs::Span::enter("choose");
+        // Bound the cache by cluster size, 2 × used PMs: a scan adds at
+        // most one list per used PM, and a dropped list is rebuilt on
+        // its next miss.
+        let limit = 2 * cluster.active_pm_count();
+        if self.cache.len() > limit {
+            self.cache.clear();
+        }
+        let book = Arc::clone(&self.book);
+        let quantizer = book.quantizer();
+        // The VM quantized once per PM type met in this scan.
+        let mut qvms: Vec<Option<QuantizedVm>> = vec![None; book.len()];
+        let mut key: Vec<u64> = Vec::new();
         let mut best: Option<(f64, PmId, Assignment)> = None;
         let mut fallback: Option<PlacementDecision> = None;
         let mut scanned = 0u64;
@@ -182,17 +300,49 @@ impl PlacementAlgorithm for PageRankVmPlacer {
                 continue;
             }
             scanned += 1;
-            match self.best_option(pm, vm) {
-                Some((score, assignment)) => {
-                    if best.as_ref().is_none_or(|(b, _, _)| score > *b) {
-                        best = Some((score, pm_id, assignment));
+            let found = book
+                .tables()
+                .enumerate()
+                .find(|(_, (spec, _))| *spec == pm.spec());
+            let pick = found.and_then(|(t, (spec, table))| {
+                let qvm = qvms
+                    .get_mut(t)?
+                    .get_or_insert_with(|| quantizer.quantize_vm(vm, spec));
+                let (cores, mem, disks) = quantizer.quantized_usage(pm);
+                key.clear();
+                key.push(convert::usize_to_u64(t));
+                key.extend_from_slice(&cores);
+                key.push(mem);
+                key.extend_from_slice(&disks);
+                key.extend([
+                    convert::usize_to_u64(qvm.vcpus),
+                    qvm.vcpu_slots,
+                    qvm.mem_units,
+                ]);
+                key.extend_from_slice(&qvm.disk_units);
+                let options = match self.cache.get(key.as_slice()) {
+                    Some(options) => options,
+                    None => {
+                        if self.cache.len() >= limit {
+                            self.cache.clear();
+                        }
+                        let options = self.ranked_options(table, qvm, &cores, mem, &disks);
+                        self.cache.entry(key.clone()).or_insert(options)
                     }
-                }
+                };
+                // Only an option beating the best so far can change the
+                // outcome; the first valid one in rank order is this PM's
+                // best (equal scores: the earlier PM keeps the lead).
+                let floor = best.as_ref().map(|(score, _, _)| *score);
+                options.first_valid(pm, vm, floor)
+            });
+            match pick {
+                Some((score, assignment)) => best = Some((score, pm_id, assignment)),
                 None => {
                     // Quantized-infeasible (or unscored) but possibly
                     // real-feasible: remember the first such PM as a
-                    // fallback (DESIGN.md §5).
-                    if fallback.is_none() {
+                    // fallback (DESIGN.md §5). Only used if no PM scores.
+                    if best.is_none() && fallback.is_none() {
                         if let Some(assignment) = pm.first_feasible(vm) {
                             fallback = Some(PlacementDecision {
                                 pm: pm_id,
@@ -375,6 +525,37 @@ mod tests {
     }
 
     #[test]
+    fn ranked_options_are_best_first_and_best_option_is_first_valid() {
+        let b = book();
+        let placer = PageRankVmPlacer::new(Arc::clone(&b));
+        let mut pm = Pm::new(catalog::pm_m3());
+        let resident = catalog::vm_m3_large();
+        let a = pm.first_feasible(&resident).unwrap();
+        pm.place(VmId(0), resident, a).unwrap();
+        let vm = catalog::vm_c3_large();
+        let q = b.quantizer();
+        let (cores, mem, disks) = q.quantized_usage(&pm);
+        let qvm = q.quantize_vm(&vm, pm.spec());
+        let table = b.table(pm.spec()).unwrap();
+        let options = placer.ranked_options(table, &qvm, &cores, mem, &disks);
+        // Score descending; equal scores in enumeration order.
+        assert!(
+            options
+                .ranked
+                .windows(2)
+                .all(|w| w[0].0 > w[1].0
+                    || (w[0].0 == w[1].0 && (w[0].1, w[0].2) < (w[1].1, w[1].2))),
+            "{options:?}"
+        );
+        let ranked: Vec<(f64, Assignment)> = options.iter().collect();
+        assert!(ranked.len() > 1, "{ranked:?}");
+        let first_valid = ranked
+            .into_iter()
+            .find(|(_, a)| pm.validate(&vm, a).is_ok());
+        assert_eq!(placer.best_option(&pm, &vm), first_valid);
+    }
+
+    #[test]
     fn quantized_feasibility_implies_real_feasibility() {
         // Fill a PM step by step; every option the placer returns must be
         // acceptable to the real-unit validator.
@@ -422,6 +603,47 @@ mod tests {
         assert!(placer
             .choose(&cluster, &catalog::geni_vm_2(), &|_| false)
             .is_none());
+    }
+
+    #[test]
+    fn cache_stays_within_twice_the_used_pms_over_long_churn() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        let types = catalog::ec2_vm_types();
+        let mut placer = PageRankVmPlacer::new(book());
+        let mut cluster = Cluster::from_specs((0..60).map(|i| {
+            if i % 3 == 2 {
+                catalog::pm_c3()
+            } else {
+                catalog::pm_m3()
+            }
+        }));
+        let mut residents = Vec::new();
+        let (mut peak, mut clears) = (0, 0);
+        for step in 0..3000 {
+            // Grow to ~120 residents, then churn: remove one, place one.
+            if step >= 120 && !residents.is_empty() {
+                let victim = residents.swap_remove(rng.gen_range(0..residents.len()));
+                cluster.remove(victim).unwrap();
+            }
+            let vm = types[rng.gen_range(0..types.len())].clone();
+            let before = placer.cache_len();
+            let decision = placer.choose(&cluster, &vm, &|_| false);
+            let after = placer.cache_len();
+            assert!(
+                after <= 2 * cluster.active_pm_count(),
+                "step {step}: {after} cached lists for {} used PMs",
+                cluster.active_pm_count()
+            );
+            peak = peak.max(after);
+            clears += usize::from(after < before);
+            if let Some(d) = decision {
+                residents.push(cluster.place(d.pm, vm, d.assignment).unwrap());
+            }
+        }
+        // The bound was reached and enforced, not merely never tested.
+        assert!(clears > 0, "cache never cleared (peak {peak})");
     }
 
     #[test]

@@ -1,11 +1,17 @@
 //! Property-based tests of the PageRankVM core: profile canonicalisation,
-//! graph structure, PageRank and BPRU invariants.
+//! graph structure, PageRank and BPRU invariants, and the placer's
+//! ranked-option cache against a cache-free scan.
 
 use pagerankvm::{
-    compute_bpru, pagerank, GraphLimits, Orientation, PageRankConfig, ProfileGraph, ProfileSpace,
-    ProfileVm, ScoreTable,
+    compute_bpru, pagerank, GraphLimits, Orientation, PageRankConfig, PageRankVmPlacer,
+    ProfileGraph, ProfileSpace, ProfileVm, ScoreBook, ScoreTable,
 };
 use proptest::prelude::*;
+use prvm_model::{
+    catalog, Assignment, Cluster, PlacementAlgorithm, PlacementDecision, PmId, PmSpec, Quantizer,
+    VmId, VmSpec,
+};
+use std::sync::{Arc, OnceLock};
 
 /// Small random uniform spaces plus VM sets that fit them.
 fn arb_setting() -> impl Strategy<Value = (ProfileSpace, Vec<ProfileVm>)> {
@@ -133,6 +139,143 @@ proptest! {
         prop_assert_eq!(table.len(), expect);
         for (_, s) in table.iter() {
             prop_assert!(s.is_finite() && s > 0.0);
+        }
+    }
+}
+
+/// A score book with the PM and VM types it was built for.
+type Catalog = (Arc<ScoreBook>, Vec<PmSpec>, Vec<VmSpec>);
+
+/// The two books the placer properties run on: EC2 at a coarse
+/// quantization (memory rounds up hard, so quantized-infeasible but
+/// real-feasible PMs and the fallback branch occur) and GENI. Built once.
+fn placer_books() -> &'static [Catalog; 2] {
+    static BOOKS: OnceLock<[Catalog; 2]> = OnceLock::new();
+    BOOKS.get_or_init(|| {
+        let build = |q: Quantizer, pms: Vec<PmSpec>, vms: Vec<VmSpec>| {
+            let book = ScoreBook::build(
+                q,
+                &pms,
+                &vms,
+                &PageRankConfig::default(),
+                GraphLimits::default(),
+            )
+            .expect("catalog book builds");
+            (Arc::new(book), pms, vms)
+        };
+        [
+            build(
+                Quantizer {
+                    core_slots: 2,
+                    mem_levels: 4,
+                    disk_levels: 2,
+                },
+                catalog::ec2_pm_types(),
+                catalog::ec2_vm_types(),
+            ),
+            build(
+                Quantizer::default(),
+                vec![catalog::geni_pm()],
+                catalog::geni_vm_types(),
+            ),
+        ]
+    })
+}
+
+/// Algorithm 2 without the cache: `best_option` on every scanned used
+/// PM, strict `>` keeps the earliest maximum, then the first
+/// real-feasible fallback, then the first unused PM that fits.
+fn uncached_choose(
+    placer: &PageRankVmPlacer,
+    cluster: &Cluster,
+    vm: &VmSpec,
+    exclude: &dyn Fn(PmId) -> bool,
+) -> Option<PlacementDecision> {
+    let mut best: Option<(f64, PmId, Assignment)> = None;
+    let mut fallback: Option<PlacementDecision> = None;
+    for pm_id in cluster.used_pms() {
+        let pm = cluster.pm(pm_id);
+        if exclude(pm_id) || !pm.has_aggregate_room(vm) {
+            continue;
+        }
+        match placer.best_option(pm, vm) {
+            Some((score, assignment)) => {
+                if best.as_ref().is_none_or(|(b, _, _)| score > *b) {
+                    best = Some((score, pm_id, assignment));
+                }
+            }
+            None => {
+                if fallback.is_none() {
+                    fallback = pm.first_feasible(vm).map(|assignment| PlacementDecision {
+                        pm: pm_id,
+                        assignment,
+                    });
+                }
+            }
+        }
+    }
+    if let Some((_, pm, assignment)) = best {
+        return Some(PlacementDecision { pm, assignment });
+    }
+    fallback.or_else(|| {
+        cluster
+            .unused_pms()
+            .filter(|&pm| !exclude(pm))
+            .find_map(|pm| {
+                cluster
+                    .pm(pm)
+                    .first_feasible(vm)
+                    .map(|assignment| PlacementDecision { pm, assignment })
+            })
+    })
+}
+
+/// One step of a placer property run: `(kind, VM type, extra)`. Kind 0
+/// removes the resident `extra` (mod count), 1 places excluding PMs in
+/// stripe `extra` mod 3, anything else places with nothing excluded.
+fn arb_steps() -> impl Strategy<Value = Vec<(u8, usize, usize)>> {
+    prop::collection::vec((0u8..5, 0usize..16, 0usize..64), 20..120)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The cached `choose` returns exactly what a cache-free scan of
+    /// `best_option` returns, on every step of a random place/remove
+    /// sequence — including exclusions, quantized fallbacks and
+    /// unused-PM opens — and its cache stays within 2 × used PMs.
+    #[test]
+    fn cached_choose_equals_uncached_scan(
+        which in 0usize..2,
+        m3 in 1usize..10,
+        c3 in 0usize..5,
+        steps in arb_steps(),
+    ) {
+        let (book, pm_types, vm_types) = &placer_books()[which];
+        let specs = (0..m3 + c3).map(|i| pm_types[usize::from(i >= m3) % pm_types.len()].clone());
+        let mut cluster = Cluster::from_specs(specs);
+        let mut placer = PageRankVmPlacer::new(Arc::clone(book));
+        let mut residents: Vec<VmId> = Vec::new();
+        for (kind, ty, extra) in steps {
+            if kind == 0 {
+                if !residents.is_empty() {
+                    let victim = residents.swap_remove(extra % residents.len());
+                    cluster.remove(victim).expect("resident");
+                }
+                continue;
+            }
+            let vm = &vm_types[ty % vm_types.len()];
+            let stripe = extra % 3;
+            let none = |_: PmId| false;
+            let striped = |pm: PmId| pm.0 % 3 == stripe;
+            let exclude: &dyn Fn(PmId) -> bool = if kind == 1 { &striped } else { &none };
+            let want = uncached_choose(&placer, &cluster, vm, exclude);
+            let got = placer.choose(&cluster, vm, exclude);
+            prop_assert_eq!(&got, &want);
+            prop_assert!(placer.cache_len() <= 2 * cluster.active_pm_count());
+            if let Some(d) = got {
+                residents.push(cluster.place(d.pm, vm.clone(), d.assignment).expect("valid"));
+            }
         }
     }
 }

@@ -156,20 +156,27 @@ impl Quantizer {
     /// quantized-feasible, this usage normally stays within the quantized
     /// capacities; fallback placements may exceed them, in which case score
     /// lookups simply miss (documented in DESIGN.md §5).
+    ///
+    /// Computes each VM's units in place with the same rounding as
+    /// [`Self::quantize_vm`], without building a [`QuantizedVm`]: the
+    /// placer calls this once per scanned PM. A VM's disks are stored
+    /// sorted descending and ceiling is monotone, so the `k`-th disk's
+    /// units are the `k`-th entry of `quantize_vm`'s sorted `disk_units`.
     #[must_use]
     pub fn quantized_usage(&self, pm: &Pm) -> (Vec<u64>, u64, Vec<u64>) {
         let spec = pm.spec();
+        let disk_cap = spec.disks().first().map_or(0, |d| d.get());
         let mut cores = vec![0u64; convert::u32_to_usize(spec.cores)];
         let mut mem = 0u64;
         let mut disks = vec![0u64; spec.disks().len()];
         for (_, vm, assignment) in pm.vms() {
-            let q = self.quantize_vm(vm, spec);
+            let slots = round_units(vm.vcpu_mhz.get(), spec.core_mhz.get(), self.core_slots);
             for &c in &assignment.cores {
-                cores[c] += q.vcpu_slots;
+                cores[c] += slots;
             }
-            mem += q.mem_units;
-            for (k, &d) in assignment.disks.iter().enumerate() {
-                disks[d] += q.disk_units[k];
+            mem += ceil_units(vm.memory.get(), spec.memory.get(), self.mem_levels);
+            for (&d, size) in assignment.disks.iter().zip(vm.disks()) {
+                disks[d] += ceil_units(size.get(), disk_cap, self.disk_levels);
             }
         }
         (cores, mem, disks)
@@ -244,6 +251,64 @@ mod tests {
         assert_eq!(disks.iter().sum::<u64>(), 2); // 2 disks x 1 level
         for &c in &a.cores {
             assert_eq!(cores[c], 1);
+        }
+    }
+
+    #[test]
+    fn quantized_usage_matches_per_vm_quantization() {
+        // The in-place sum must equal the sum of `quantize_vm` results
+        // mapped through each assignment, for every catalog VM type on
+        // every catalog PM type.
+        let q = Quantizer::default();
+        let vm_types: Vec<VmSpec> = catalog::ec2_vm_types()
+            .into_iter()
+            .chain(catalog::geni_vm_types())
+            .collect();
+        let pm_types: Vec<PmSpec> = catalog::ec2_pm_types()
+            .into_iter()
+            .chain([catalog::geni_pm()])
+            .collect();
+        // Fill a PM with each type alone, then with all types in turn.
+        let mut fills: Vec<Vec<VmSpec>> = vm_types.iter().map(|v| vec![v.clone()]).collect();
+        fills.push(vm_types.clone());
+        for spec in &pm_types {
+            for fill in &fills {
+                let mut pm = Pm::new(spec.clone());
+                let (mut id, mut turn, mut stuck) = (0, 0, 0);
+                while stuck < fill.len() {
+                    let vm = &fill[turn % fill.len()];
+                    turn += 1;
+                    id += 1;
+                    match pm.first_feasible(vm) {
+                        Some(a) => {
+                            pm.place(VmId(id), vm.clone(), a).unwrap();
+                            stuck = 0;
+                        }
+                        None => stuck += 1,
+                    }
+                }
+                let mut cores = vec![0u64; convert::u32_to_usize(spec.cores)];
+                let mut mem = 0u64;
+                let mut disks = vec![0u64; spec.disks().len()];
+                for (_, v, a) in pm.vms() {
+                    let qv = q.quantize_vm(v, spec);
+                    for &c in &a.cores {
+                        cores[c] += qv.vcpu_slots;
+                    }
+                    mem += qv.mem_units;
+                    for (&d, &units) in a.disks.iter().zip(&qv.disk_units) {
+                        disks[d] += units;
+                    }
+                }
+                assert_eq!(
+                    q.quantized_usage(&pm),
+                    (cores, mem, disks),
+                    "{} VMs of {} types on {}",
+                    pm.vm_count(),
+                    fill.len(),
+                    spec.name
+                );
+            }
         }
     }
 

@@ -128,9 +128,7 @@ impl From<std::io::Error> for CacheError {
     }
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven. Same
-/// parameters as the serve journal's record CRC; duplicated here because
-/// `core` sits below `serve` in the crate DAG.
+/// The CRC-32 lookup table, built at compile time.
 const fn crc_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -153,7 +151,11 @@ const fn crc_table() -> [u32; 256] {
 
 static CRC_TABLE: [u32; 256] = crc_table();
 
-fn crc32(bytes: &[u8]) -> u32 {
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) of `bytes`,
+/// table-driven: the checksum guarding the PVSB artifact here and every
+/// wire frame and journal record of the placement daemon.
+#[must_use]
+pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = u32::MAX;
     for &b in bytes {
         let idx = usize::from((crc as u8) ^ b);
@@ -742,7 +744,25 @@ mod tests {
 
     #[test]
     fn crc32_matches_known_vector() {
-        // The canonical IEEE check value.
+        // Standard CRC-32/IEEE check values.
+        assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+    }
+
+    #[test]
+    fn crc32_single_bit_flip_changes_the_checksum() {
+        let base = b"journal record payload".to_vec();
+        let crc = crc32(&base);
+        for i in 0..base.len() {
+            for bit in 0..8 {
+                let mut flipped = base.clone();
+                flipped[i] ^= 1 << bit;
+                assert_ne!(crc32(&flipped), crc, "flip at byte {i} bit {bit}");
+            }
+        }
     }
 }

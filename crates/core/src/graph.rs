@@ -18,12 +18,25 @@
 //! `u32` successor array plus offsets, with no intermediate map. Besides
 //! the deduplicated successor CSR the graph keeps the **expansion cache**
 //! — per `(node, VM type)`, the outcome ids of `place` in enumeration
-//! order. That cache is what [`ProfileGraph::extend`] replays to rebuild
-//! the graph for a grown catalog without re-running the `place`
-//! combinatorics for unchanged (profile, VM-type) pairs, while minting
-//! node ids in exactly the order a from-scratch build would — the
-//! extended graph is bit-for-bit identical to a fresh
-//! [`ProfileGraph::build`] over the merged catalog.
+//! order.
+//!
+//! # One construction routine
+//!
+//! Every graph comes out of one level-synchronous BFS, the *replay* of a
+//! base graph's catalog grown by some VM types. Its starting nodes
+//! depend on the base graph's mode: node 0, the empty profile, for a
+//! reachable graph; every node, in id order, for a full-space graph.
+//! Expansions the base graph already holds are answered from its
+//! expansion cache; everything else runs `place`.
+//!
+//! - [`ProfileGraph::build`] replays its catalog over a 1-node root with
+//!   no VM types, so every expansion runs `place`;
+//! - [`ProfileGraph::build_full`] does the same over a root holding every
+//!   canonical profile, so no node is ever minted;
+//! - [`ProfileGraph::extend`] replays the merged catalog over `self`,
+//!   which mints node ids in exactly the order a fresh build would — the
+//!   extended graph is bit-for-bit identical to a fresh build over the
+//!   merged catalog.
 
 use crate::intern::{ProfileId, ProfileInterner};
 use crate::profile::{Profile, ProfileSpace, ProfileVm};
@@ -53,7 +66,7 @@ pub(crate) fn nid(i: usize) -> NodeId {
     NodeId::try_from(i).unwrap_or(NodeId::MAX)
 }
 
-/// Sentinel in the old↔new id maps maintained by [`ProfileGraph::extend`].
+/// Sentinel in the old↔new id maps maintained by the replay.
 const UNMAPPED: NodeId = NodeId::MAX;
 
 /// Construction limits guarding against a quantization that explodes.
@@ -99,8 +112,8 @@ impl fmt::Display for GraphError {
 
 impl Error for GraphError {}
 
-/// Which node set a graph was built over. `extend` replays the same
-/// construction mode so the result matches a from-scratch build.
+/// Which node set a graph was built over. It picks the replay's
+/// starting nodes, so an extended graph keeps its base's node set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BuildMode {
     /// BFS from the empty profile ([`ProfileGraph::build`]).
@@ -137,6 +150,14 @@ pub(crate) type RawParts<'a> = (
 struct Expansion {
     flat: Vec<u16>,
     counts: Vec<usize>,
+}
+
+/// A replayed graph plus the tallies its entry point reports.
+struct Replayed {
+    graph: ProfileGraph,
+    dedup_hits: u64,
+    cached_groups: u64,
+    place_calls: u64,
 }
 
 /// The profile graph for one PM type and one VM-type set.
@@ -176,10 +197,8 @@ impl ProfileGraph {
         Self::build_full_with_pool(space, vm_types, limits, Pool::global())
     }
 
-    /// [`Self::build_full`] on an explicit worker [`Pool`]. The result
-    /// is bit-for-bit identical at any pool width (DESIGN.md §10):
-    /// successor sets are computed in parallel per node and merged in
-    /// node-index order.
+    /// [`Self::build_full`] on an explicit worker [`Pool`]; bit-for-bit
+    /// identical at any pool width (DESIGN.md §10).
     ///
     /// # Errors
     ///
@@ -190,42 +209,7 @@ impl ProfileGraph {
         limits: GraphLimits,
         pool: Pool,
     ) -> Result<Self, GraphError> {
-        let _span = Span::enter("graph_build");
-        let empty = space.empty_profile();
-        let usable: Vec<ProfileVm> = vm_types
-            .into_iter()
-            .filter(|vm| !space.place(&empty, vm).is_empty())
-            .collect();
-        if usable.is_empty() {
-            return Err(GraphError::NoUsableVmTypes);
-        }
-        let interner = enumerate_full_space(&space, limits)?;
-        let (succ, succ_off, gsucc, goff) = full_adjacency(&space, &interner, &usable, &pool);
-
-        let util = interner
-            .profiles()
-            .iter()
-            .map(|p| space.utilization(p))
-            .collect();
-        prvm_obs::counter!("graph.nodes", convert::usize_to_u64(interner.len()));
-        prvm_obs::counter!("graph.edges", convert::usize_to_u64(succ.len()));
-        prvm_obs::event("graph.built")
-            .field("mode", "full")
-            .field("nodes", interner.len())
-            .field("edges", succ.len())
-            .field("vm_types", usable.len())
-            .emit();
-        Ok(Self {
-            space,
-            vm_types: usable,
-            interner,
-            succ,
-            succ_off,
-            gsucc,
-            goff,
-            util,
-            mode: BuildMode::Full,
-        })
+        Self::build_from_root(space, vm_types, limits, &pool, BuildMode::Full)
     }
 
     /// Build the graph by BFS from the empty profile.
@@ -286,109 +270,63 @@ impl ProfileGraph {
         limits: GraphLimits,
         pool: Pool,
     ) -> Result<Self, GraphError> {
+        Self::build_from_root(space, vm_types, limits, &pool, BuildMode::Reachable)
+    }
+
+    /// The cold build behind [`Self::build`] and [`Self::build_full`]:
+    /// replay the usable VM types over a root graph that has none.
+    fn build_from_root(
+        space: ProfileSpace,
+        vm_types: Vec<ProfileVm>,
+        limits: GraphLimits,
+        pool: &Pool,
+        mode: BuildMode,
+    ) -> Result<Self, GraphError> {
         let _span = Span::enter("graph_build");
-        let empty = space.empty_profile();
-        let usable: Vec<ProfileVm> = vm_types
-            .into_iter()
-            .filter(|vm| !space.place(&empty, vm).is_empty())
-            .collect();
+        let usable = usable_vms(&space, vm_types);
         if usable.is_empty() {
             return Err(GraphError::NoUsableVmTypes);
         }
-
-        let dims = space.dims();
-        let mut interner = ProfileInterner::new();
-        interner.intern(empty);
-        let mut succ: Vec<NodeId> = Vec::new();
-        let mut succ_off: Vec<usize> = vec![0];
-        let mut gsucc: Vec<NodeId> = Vec::new();
-        let mut goff: Vec<usize> = vec![0];
-
-        // Every edge strictly increases total usage, so nodes discovered
-        // while merging frontier node `j` sort after everything
-        // discovered from frontier nodes `< j`: processing frontiers in
-        // insertion order visits the same nodes in the same order as a
-        // plain FIFO queue, and each node is fully expanded exactly once.
-        let mut buf: Vec<NodeId> = Vec::new();
-        let mut dedup_hits = 0u64;
-        let mut level_start = 0usize;
-        while level_start < interner.len() {
-            // Expand the whole frontier in parallel. The borrow of the
-            // interner's arena ends with the map; discovered profiles
-            // are merged below, where the interner is grown.
-            let expansions: Vec<Expansion> = {
-                // Sub-span per level: the parallel part of the build.
-                // Its chunks land on worker lanes when tracing.
-                let _expand = Span::enter("expand");
-                let (_, frontier) = interner.profiles().split_at(level_start);
-                pool.map(frontier, |node| expand_node(&space, node, &usable, dims))
-            };
-            level_start = interner.len();
-            // Sub-span per level: the sequential id-minting merge. The
-            // expand/stitch split is what makes the speedup story
-            // diagnosable in a trace (parallel compute vs serial merge).
-            let stitch_span = Span::enter("stitch");
-            for exp in expansions {
-                buf.clear();
-                let mut pos = 0usize;
-                for &count in &exp.counts {
-                    for _ in 0..count {
-                        let vals = &exp.flat[pos..pos + dims];
-                        pos += dims;
-                        let id = match interner.get(vals) {
-                            Some(pid) => {
-                                dedup_hits += 1;
-                                pid.node()
-                            }
-                            None => {
-                                if interner.len() >= limits.max_nodes
-                                    || NodeId::try_from(interner.len()).is_err()
-                                {
-                                    return Err(GraphError::TooLarge {
-                                        max_nodes: limits.max_nodes,
-                                    });
-                                }
-                                interner.intern_values(vals).0.node()
-                            }
-                        };
-                        gsucc.push(id);
-                        buf.push(id);
-                    }
-                    goff.push(gsucc.len());
-                }
-                buf.sort_unstable();
-                buf.dedup();
-                succ.extend_from_slice(&buf);
-                succ_off.push(succ.len());
-            }
-            drop(stitch_span);
-        }
-
-        let util = interner
-            .profiles()
-            .iter()
-            .map(|p| space.utilization(p))
-            .collect();
-        prvm_obs::counter!("graph.nodes", convert::usize_to_u64(interner.len()));
-        prvm_obs::counter!("graph.edges", convert::usize_to_u64(succ.len()));
-        prvm_obs::counter!("graph.dedup_hits", dedup_hits);
+        let run = Self::root(space, mode, limits)?.replay(usable, limits, pool)?;
+        let graph = run.graph;
         prvm_obs::event("graph.built")
-            .field("mode", "bfs")
-            .field("nodes", interner.len())
-            .field("edges", succ.len())
-            .field("dedup_hits", dedup_hits)
-            .field("vm_types", usable.len())
+            .field(
+                "mode",
+                match mode {
+                    BuildMode::Reachable => "bfs",
+                    BuildMode::Full => "full",
+                },
+            )
+            .field("nodes", graph.node_count())
+            .field("edges", graph.edge_count())
+            .field("dedup_hits", run.dedup_hits)
+            .field("vm_types", graph.vm_types.len())
             .emit();
+        Ok(graph)
+    }
+
+    /// A graph with no VM types over the replay's starting nodes: the
+    /// empty profile, or every canonical profile for [`BuildMode::Full`].
+    /// Every node is an endpoint and the expansion cache is empty.
+    fn root(space: ProfileSpace, mode: BuildMode, limits: GraphLimits) -> Result<Self, GraphError> {
+        let interner = match mode {
+            BuildMode::Reachable => {
+                let mut interner = ProfileInterner::new();
+                interner.intern(space.empty_profile());
+                interner
+            }
+            BuildMode::Full => enumerate_full_space(&space, limits)?,
+        };
         Ok(Self {
             space,
-            vm_types: usable,
+            vm_types: Vec::new(),
+            succ: Vec::new(),
+            succ_off: vec![0; interner.len() + 1],
+            gsucc: Vec::new(),
+            goff: vec![0],
+            util: Vec::new(),
             interner,
-            succ,
-            succ_off,
-            gsucc,
-            goff,
-            util,
-            mode: BuildMode::Reachable,
+            mode,
         })
     }
 
@@ -437,8 +375,8 @@ impl ProfileGraph {
     /// through a delta edge, plus every node's delta-VM expansions, pay
     /// the enumeration combinatorics. Ids are minted in replay
     /// (= from-scratch) discovery order, so the result is bit-for-bit
-    /// identical to [`Self::build`] over `self.vm_types() ++ delta`, at
-    /// any pool width.
+    /// identical to a fresh build (of the same mode) over
+    /// `self.vm_types() ++ delta`, at any pool width.
     ///
     /// # Errors
     ///
@@ -450,41 +388,65 @@ impl ProfileGraph {
         pool: Pool,
     ) -> Result<Self, GraphError> {
         let _span = Span::enter("graph_extend");
-        let empty = self.space.empty_profile();
-        let usable_delta: Vec<ProfileVm> = delta
-            .into_iter()
-            .filter(|vm| !self.space.place(&empty, vm).is_empty())
-            .collect();
+        let usable_delta = usable_vms(&self.space, delta);
         if usable_delta.is_empty() {
             // Nothing usable changed: the merged catalog equals ours, and
             // a replay would reproduce this graph field for field.
             return Ok(self.clone());
         }
-        match self.mode {
-            BuildMode::Full => self.extend_full(&usable_delta, &pool),
-            BuildMode::Reachable => self.extend_reachable(usable_delta, limits, pool),
-        }
+        let run = self.replay(usable_delta, limits, &pool)?;
+        let graph = run.graph;
+        prvm_obs::counter!("graph.extend.cached_groups", run.cached_groups);
+        prvm_obs::counter!("graph.extend.place_calls", run.place_calls);
+        prvm_obs::event("graph.extended")
+            .field("nodes", graph.node_count())
+            .field(
+                "new_nodes",
+                graph.node_count().saturating_sub(self.node_count()),
+            )
+            .field("edges", graph.edge_count())
+            .field("dedup_hits", run.dedup_hits)
+            .field("cached_groups", run.cached_groups)
+            .field("place_calls", run.place_calls)
+            .field("vm_types", graph.vm_types.len())
+            .emit();
+        Ok(graph)
     }
 
-    /// Delta path for BFS-built graphs: replay the level-synchronous
-    /// BFS, answering old `(node, VM)` expansions from the cache.
-    fn extend_reachable(
+    /// The one graph-construction routine: a level-synchronous BFS over
+    /// `self.vm_types() ++ delta`, seeded with this graph's starting
+    /// nodes under their own ids (node 0 for [`BuildMode::Reachable`],
+    /// every node for [`BuildMode::Full`]). Old `(node, VM)` expansions
+    /// are replayed from the expansion cache; the rest run `place` on
+    /// the pool. Ids are minted in first-discovery order, so a replay
+    /// over a root with no VM types is a cold build, and a replay over
+    /// any graph equals the cold build of the merged catalog. Counts
+    /// `graph.{nodes,edges,dedup_hits}`; the caller emits its event.
+    fn replay(
         &self,
-        usable_delta: Vec<ProfileVm>,
+        delta: Vec<ProfileVm>,
         limits: GraphLimits,
-        pool: Pool,
-    ) -> Result<Self, GraphError> {
+        pool: &Pool,
+    ) -> Result<Replayed, GraphError> {
         let space = self.space.clone();
         let dims = space.dims();
         let old_v = self.vm_types.len();
-        let merged: Vec<ProfileVm> = self.vm_types.iter().cloned().chain(usable_delta).collect();
+        let merged: Vec<ProfileVm> = self.vm_types.iter().cloned().chain(delta).collect();
 
-        let mut old2new: Vec<NodeId> = vec![UNMAPPED; self.node_count()];
+        let seeds = match self.mode {
+            BuildMode::Reachable => 1,
+            BuildMode::Full => self.node_count(),
+        };
+        // Starting nodes keep their base ids: both id maps begin as the
+        // identity over them.
         let mut new2old: Vec<NodeId> = Vec::with_capacity(self.node_count());
+        new2old.extend((0..seeds).map(nid));
+        let mut old2new = new2old.clone();
+        old2new.resize(self.node_count(), UNMAPPED);
         let mut interner = ProfileInterner::with_capacity(self.node_count());
-        interner.intern(space.empty_profile());
-        old2new[0] = 0;
-        new2old.push(0);
+        for &id in &new2old {
+            interner.intern(self.profile(id).clone());
+        }
 
         let mut succ: Vec<NodeId> = Vec::new();
         let mut succ_off: Vec<usize> = vec![0];
@@ -501,11 +463,17 @@ impl ProfileGraph {
         // reused — no per-entry translation. The flag latches off the
         // first time a mint diverges from the base numbering.
         let mut identity = true;
+        // Every edge strictly increases total usage, so nodes discovered
+        // while merging frontier node `j` sort after everything
+        // discovered from frontier nodes `< j`: processing frontiers in
+        // insertion order visits the same nodes in the same order as a
+        // plain FIFO queue, and each node is fully expanded exactly once.
         let mut level_start = 0usize;
         while level_start < interner.len() {
-            // Workers evaluate `place` only where the cache cannot
-            // answer: delta VMs everywhere, plus every VM on nodes this
-            // graph has never seen.
+            // Expand the whole frontier in parallel; its chunks land on
+            // worker lanes when tracing. Workers evaluate `place` only
+            // where the cache cannot answer: delta VMs everywhere, plus
+            // every VM on nodes this graph has never seen.
             let expansions: Vec<Expansion> = {
                 let _expand = Span::enter("expand");
                 let jobs: Vec<(&Profile, bool)> = (level_start..interner.len())
@@ -522,6 +490,9 @@ impl ProfileGraph {
             };
             let frontier_start = level_start;
             level_start = interner.len();
+            // The sequential id-minting merge. The expand/stitch split
+            // is what makes the speedup story diagnosable in a trace
+            // (parallel compute vs serial merge).
             let stitch_span = Span::enter("stitch");
             for (offset, exp) in expansions.into_iter().enumerate() {
                 let j = frontier_start + offset;
@@ -535,9 +506,7 @@ impl ProfileGraph {
                     // instead of re-collecting 3M group entries; delta
                     // outcomes are appended below and the final sort
                     // restores order.
-                    buf.extend_from_slice(
-                        &self.succ[self.succ_off[ix(old_id)]..self.succ_off[ix(old_id) + 1]],
-                    );
+                    buf.extend_from_slice(self.successors(old_id));
                 }
                 let mut pos = 0usize;
                 let mut ci = 0usize;
@@ -546,27 +515,18 @@ impl ProfileGraph {
                         // Replay the cached expansion: same outcomes in
                         // the same enumeration order `place` would give.
                         cached_groups += 1;
-                        let a = self.goff[ix(old_id) * old_v + v];
-                        let b = self.goff[ix(old_id) * old_v + v + 1];
+                        let group = self.vm_successors(old_id, v);
                         if fast {
                             // Ids a replayed group mints appear in
                             // first-appearance order, which under the
                             // identity mapping IS numeric order — mint
                             // `len..=max` straight from the base
                             // interner and copy the group verbatim.
-                            let group = &self.gsucc[a..b];
                             if let Some(max) = group.iter().copied().max() {
                                 while interner.len() <= ix(max) {
-                                    if interner.len() >= limits.max_nodes
-                                        || NodeId::try_from(interner.len()).is_err()
-                                    {
-                                        return Err(GraphError::TooLarge {
-                                            max_nodes: limits.max_nodes,
-                                        });
-                                    }
+                                    check_room(&interner, limits)?;
                                     let next = nid(interner.len());
-                                    let (pid, fresh) = interner
-                                        .intern(self.interner.resolve(ProfileId(next)).clone());
+                                    let (pid, fresh) = interner.intern(self.profile(next).clone());
                                     debug_assert!(
                                         fresh && pid.node() == next,
                                         "identity replay minted out of order"
@@ -580,21 +540,13 @@ impl ProfileGraph {
                             goff.push(gsucc.len());
                             continue;
                         }
-                        for gi in a..b {
-                            let old_s = self.gsucc[gi];
+                        for &old_s in group {
                             let id = if old2new[ix(old_s)] != UNMAPPED {
                                 dedup_hits += 1;
                                 old2new[ix(old_s)]
                             } else {
-                                if interner.len() >= limits.max_nodes
-                                    || NodeId::try_from(interner.len()).is_err()
-                                {
-                                    return Err(GraphError::TooLarge {
-                                        max_nodes: limits.max_nodes,
-                                    });
-                                }
-                                let (pid, fresh) = interner
-                                    .intern(self.interner.resolve(ProfileId(old_s)).clone());
+                                check_room(&interner, limits)?;
+                                let (pid, fresh) = interner.intern(self.profile(old_s).clone());
                                 debug_assert!(fresh, "old profile interned without a mapping");
                                 old2new[ix(old_s)] = pid.node();
                                 new2old.push(old_s);
@@ -616,13 +568,7 @@ impl ProfileGraph {
                                     pid.node()
                                 }
                                 None => {
-                                    if interner.len() >= limits.max_nodes
-                                        || NodeId::try_from(interner.len()).is_err()
-                                    {
-                                        return Err(GraphError::TooLarge {
-                                            max_nodes: limits.max_nodes,
-                                        });
-                                    }
+                                    check_room(&interner, limits)?;
                                     let (pid, _) = interner.intern_values(vals);
                                     // A delta edge can be the first road
                                     // into a profile this graph already
@@ -666,106 +612,21 @@ impl ProfileGraph {
         prvm_obs::counter!("graph.nodes", convert::usize_to_u64(interner.len()));
         prvm_obs::counter!("graph.edges", convert::usize_to_u64(succ.len()));
         prvm_obs::counter!("graph.dedup_hits", dedup_hits);
-        prvm_obs::counter!("graph.extend.cached_groups", cached_groups);
-        prvm_obs::counter!("graph.extend.place_calls", place_calls);
-        prvm_obs::event("graph.extended")
-            .field("nodes", interner.len())
-            .field(
-                "new_nodes",
-                interner.len().saturating_sub(self.node_count()),
-            )
-            .field("edges", succ.len())
-            .field("dedup_hits", dedup_hits)
-            .field("cached_groups", cached_groups)
-            .field("place_calls", place_calls)
-            .field("vm_types", merged.len())
-            .emit();
-        Ok(Self {
-            space,
-            vm_types: merged,
-            interner,
-            succ,
-            succ_off,
-            gsucc,
-            goff,
-            util,
-            mode: BuildMode::Reachable,
-        })
-    }
-
-    /// Delta path for full-space graphs: the node set (every canonical
-    /// profile) does not depend on the catalog, so the numbering is
-    /// already final — only the delta VMs' expansions are computed.
-    fn extend_full(&self, usable_delta: &[ProfileVm], pool: &Pool) -> Result<Self, GraphError> {
-        let old_v = self.vm_types.len();
-        let merged: Vec<ProfileVm> = self
-            .vm_types
-            .iter()
-            .cloned()
-            .chain(usable_delta.iter().cloned())
-            .collect();
-        let dims = self.space.dims();
-        let space = self.space.clone();
-        let delta_groups: Vec<(Vec<NodeId>, Vec<usize>)> = {
-            let interner = &self.interner;
-            pool.map(interner.profiles(), |node| {
-                let exp = expand_node(&space, node, usable_delta, dims);
-                let mut ids = Vec::with_capacity(exp.flat.len() / dims.max(1));
-                let mut pos = 0usize;
-                for _ in 0..exp.flat.len() / dims.max(1) {
-                    let vals = &exp.flat[pos..pos + dims];
-                    pos += dims;
-                    match interner.get(vals) {
-                        Some(pid) => ids.push(pid.node()),
-                        None => debug_assert!(false, "successor profile missing from full index"),
-                    }
-                }
-                (ids, exp.counts)
-            })
-        };
-
-        let mut succ: Vec<NodeId> = Vec::new();
-        let mut succ_off: Vec<usize> = vec![0];
-        let mut gsucc: Vec<NodeId> = Vec::with_capacity(self.gsucc.len());
-        let mut goff: Vec<usize> = vec![0];
-        let mut buf: Vec<NodeId> = Vec::new();
-        for (i, (ids, counts)) in delta_groups.iter().enumerate() {
-            buf.clear();
-            for v in 0..old_v {
-                let group = &self.gsucc[self.goff[i * old_v + v]..self.goff[i * old_v + v + 1]];
-                gsucc.extend_from_slice(group);
-                buf.extend_from_slice(group);
-                goff.push(gsucc.len());
-            }
-            let mut pos = 0usize;
-            for &count in counts {
-                gsucc.extend_from_slice(&ids[pos..pos + count]);
-                buf.extend_from_slice(&ids[pos..pos + count]);
-                pos += count;
-                goff.push(gsucc.len());
-            }
-            buf.sort_unstable();
-            buf.dedup();
-            succ.extend_from_slice(&buf);
-            succ_off.push(succ.len());
-        }
-
-        prvm_obs::event("graph.extended")
-            .field("nodes", self.node_count())
-            .field("new_nodes", 0usize)
-            .field("edges", succ.len())
-            .field("vm_types", merged.len())
-            .emit();
-        Ok(Self {
-            space: self.space.clone(),
-            vm_types: merged,
-            interner: self.interner.clone(),
-            succ,
-            succ_off,
-            gsucc,
-            goff,
-            util: self.util.clone(),
-            mode: BuildMode::Full,
+        Ok(Replayed {
+            graph: Self {
+                space,
+                vm_types: merged,
+                interner,
+                succ,
+                succ_off,
+                gsucc,
+                goff,
+                util,
+                mode: self.mode,
+            },
+            dedup_hits,
+            cached_groups,
+            place_calls,
         })
     }
 
@@ -919,6 +780,24 @@ fn expand_node(space: &ProfileSpace, node: &Profile, vms: &[ProfileVm], dims: us
     Expansion { flat, counts }
 }
 
+/// The VM types that fit the empty profile; the rest contribute no edges.
+fn usable_vms(space: &ProfileSpace, vms: Vec<ProfileVm>) -> Vec<ProfileVm> {
+    let empty = space.empty_profile();
+    vms.into_iter()
+        .filter(|vm| !space.place(&empty, vm).is_empty())
+        .collect()
+}
+
+/// Refuse to mint a node past [`GraphLimits::max_nodes`] or `u32::MAX`.
+fn check_room(interner: &ProfileInterner, limits: GraphLimits) -> Result<(), GraphError> {
+    if interner.len() >= limits.max_nodes || NodeId::try_from(interner.len()).is_err() {
+        return Err(GraphError::TooLarge {
+            max_nodes: limits.max_nodes,
+        });
+    }
+    Ok(())
+}
+
 /// Enumerate every canonical profile of the space in lexicographic
 /// (kind-by-kind, non-decreasing) order — the full-graph node set.
 fn enumerate_full_space(
@@ -973,55 +852,6 @@ fn enumerate_full_space(
         &mut interner,
     );
     Ok(interner)
-}
-
-/// Parallel successor enumeration over a fully-enumerated node set:
-/// every node is known up front, so the hot `place` combinatorics are
-/// embarrassingly parallel; the merge stitches per-node buffers back in
-/// node-index order, so the CSR is identical at any width.
-fn full_adjacency(
-    space: &ProfileSpace,
-    interner: &ProfileInterner,
-    usable: &[ProfileVm],
-    pool: &Pool,
-) -> (Vec<NodeId>, Vec<usize>, Vec<NodeId>, Vec<usize>) {
-    let dims = space.dims();
-    let buffers: Vec<(Vec<NodeId>, Vec<usize>, Vec<NodeId>)> =
-        pool.map(interner.profiles(), |node| {
-            let exp = expand_node(space, node, usable, dims);
-            let mut ids = Vec::with_capacity(exp.flat.len() / dims.max(1));
-            let mut pos = 0usize;
-            for _ in 0..exp.flat.len() / dims.max(1) {
-                let vals = &exp.flat[pos..pos + dims];
-                pos += dims;
-                // Every canonical profile was enumerated up front and
-                // `place` yields canonical outputs, so the lookup hits.
-                match interner.get(vals) {
-                    Some(pid) => ids.push(pid.node()),
-                    None => debug_assert!(false, "successor profile missing from full index"),
-                }
-            }
-            let mut deduped = ids.clone();
-            deduped.sort_unstable();
-            deduped.dedup();
-            (ids, exp.counts, deduped)
-        });
-
-    let mut succ: Vec<NodeId> = Vec::new();
-    let mut succ_off: Vec<usize> = vec![0];
-    let mut gsucc: Vec<NodeId> = Vec::new();
-    let mut goff: Vec<usize> = vec![0];
-    for (ids, counts, deduped) in &buffers {
-        let mut pos = 0usize;
-        for &count in counts {
-            gsucc.extend_from_slice(&ids[pos..pos + count]);
-            pos += count;
-            goff.push(gsucc.len());
-        }
-        succ.extend_from_slice(deduped);
-        succ_off.push(succ.len());
-    }
-    (succ, succ_off, gsucc, goff)
 }
 
 #[cfg(test)]

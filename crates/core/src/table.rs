@@ -36,18 +36,7 @@ impl ScoreTable {
     ) -> Result<Self, GraphError> {
         let graph = ProfileGraph::build(space, vm_types, limits)?;
         let pr = pagerank(&graph, config);
-        let discount = bpru(&graph);
-        let scores = pr
-            .scores
-            .iter()
-            .zip(&discount)
-            .map(|(&p, &b)| p * b)
-            .collect();
-        Ok(Self {
-            graph,
-            scores,
-            pagerank: pr,
-        })
+        Ok(Self::from_graph(graph, pr))
     }
 
     /// Like [`Self::build`], but over **all** canonical profiles of the
@@ -66,18 +55,7 @@ impl ScoreTable {
     ) -> Result<Self, GraphError> {
         let graph = ProfileGraph::build_full(space, vm_types, limits)?;
         let pr = pagerank(&graph, config);
-        let discount = bpru(&graph);
-        let scores = pr
-            .scores
-            .iter()
-            .zip(&discount)
-            .map(|(&p, &b)| p * b)
-            .collect();
-        Ok(Self {
-            graph,
-            scores,
-            pagerank: pr,
-        })
+        Ok(Self::from_graph(graph, pr))
     }
 
     /// Incrementally rebuild this table for a catalog grown by `delta`
@@ -100,18 +78,7 @@ impl ScoreTable {
     ) -> Result<Self, GraphError> {
         let graph = self.graph.extend(delta, limits)?;
         let pr = pagerank_warm(&graph, config, &self.graph, &self.pagerank.scores);
-        let discount = bpru(&graph);
-        let scores = pr
-            .scores
-            .iter()
-            .zip(&discount)
-            .map(|(&p, &b)| p * b)
-            .collect();
-        Ok(Self {
-            graph,
-            scores,
-            pagerank: pr,
-        })
+        Ok(Self::from_graph(graph, pr))
     }
 
     /// From-scratch replay of an incremental history: build the base
@@ -122,8 +89,10 @@ impl ScoreTable {
     /// This is the comparator the determinism tests pin [`Self::extend`]
     /// against: both paths see bit-identical graphs (extend replays BFS
     /// discovery order exactly) and bit-identical warm seeds, so their
-    /// score tables must agree bit for bit — through entirely different
-    /// graph-construction code.
+    /// score tables must agree bit for bit. Both graphs come out of the
+    /// same replay routine, but the merged graph here is built cold —
+    /// every expansion runs `place` — while [`Self::extend`] answers
+    /// the base catalog's expansions from the base graph's cache.
     ///
     /// # Errors
     ///
@@ -139,6 +108,12 @@ impl ScoreTable {
         let merged: Vec<ProfileVm> = base.graph.vm_types().iter().cloned().chain(delta).collect();
         let graph = ProfileGraph::build(space, merged, limits)?;
         let pr = pagerank_warm(&graph, config, &base.graph, &base.pagerank.scores);
+        Ok(Self::from_graph(graph, pr))
+    }
+
+    /// Apply the BPRU discount to `pr` over `graph`: the final scores
+    /// `PR(P_i) * BPRU(P_i)` (Algorithm 1, line 19).
+    fn from_graph(graph: ProfileGraph, pr: PageRankResult) -> Self {
         let discount = bpru(&graph);
         let scores = pr
             .scores
@@ -146,11 +121,11 @@ impl ScoreTable {
             .zip(&discount)
             .map(|(&p, &b)| p * b)
             .collect();
-        Ok(Self {
+        Self {
             graph,
             scores,
             pagerank: pr,
-        })
+        }
     }
 
     /// Reassemble a table from cached parts (the PVSB loader).

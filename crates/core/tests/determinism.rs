@@ -4,9 +4,10 @@
 //! equality — scheduling must never leak into results.
 
 use pagerankvm::{
-    pagerank_warm_with_pool, pagerank_with_pool, GraphLimits, Orientation, PageRankConfig, Pool,
-    ProfileGraph, ProfileSpace, ProfileVm, ScoreTable,
+    pagerank, pagerank_warm_with_pool, pagerank_with_pool, GraphLimits, Orientation,
+    PageRankConfig, Pool, ProfileGraph, ProfileSpace, ProfileVm, ScoreBook, ScoreTable,
 };
+use prvm_model::{catalog, Quantizer};
 
 fn paper_vms() -> Vec<ProfileVm> {
     vec![
@@ -366,4 +367,141 @@ fn full_space_graph_is_identical_at_1_2_4_threads() {
             assert_eq!(got.successors(id), reference.successors(id), "node {id}");
         }
     }
+}
+
+/// FNV-1a (64-bit) over the bytes fed to it — the digest the cold-build
+/// pins below are taken with.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn ids(&mut self, ids: &[u32]) {
+        self.u64(ids.len() as u64);
+        for &id in ids {
+            self.bytes(&id.to_le_bytes());
+        }
+    }
+}
+
+/// Digest of a graph and its PageRank scores, in node-id order: the
+/// profile, the successor row, every per-VM expansion group, the
+/// utilization bits and the score bits of each node.
+fn graph_digest(graph: &ProfileGraph, scores: &[f64]) -> u64 {
+    assert_eq!(scores.len(), graph.node_count());
+    let mut h = Fnv::new();
+    h.u64(graph.node_count() as u64);
+    h.u64(graph.vm_types().len() as u64);
+    for id in graph.node_ids() {
+        let values = graph.profile(id).values();
+        h.u64(values.len() as u64);
+        for &v in values {
+            h.bytes(&v.to_le_bytes());
+        }
+        h.ids(graph.successors(id));
+        for vm in 0..graph.vm_types().len() {
+            h.ids(graph.vm_successors(id, vm));
+        }
+        h.u64(graph.utilization(id).to_bits());
+        h.u64(scores[id as usize].to_bits());
+    }
+    h.0
+}
+
+fn cold_digest(graph: &ProfileGraph) -> u64 {
+    graph_digest(graph, &pagerank(graph, &PageRankConfig::default()).scores)
+}
+
+fn table_digest(table: &ScoreTable) -> u64 {
+    graph_digest(table.graph(), &table.pagerank().scores)
+}
+
+/// The daemon's `--coarse` profile resolution.
+fn coarse() -> Quantizer {
+    Quantizer {
+        core_slots: 2,
+        mem_levels: 4,
+        disk_levels: 2,
+    }
+}
+
+/// Cold-build outputs pinned to committed constants. The other tests in
+/// this file compare construction paths with each other; these digests
+/// tie each path's output to fixed bits, so a change that moved every
+/// path the same way would still fail here.
+#[test]
+fn cold_and_extended_graph_digests_are_pinned() {
+    let limits = GraphLimits::default();
+    let paper = ProfileSpace::uniform(4, 4);
+    let mut got: Vec<(String, u64)> = Vec::new();
+
+    let reachable = ProfileGraph::build(paper.clone(), paper_vms(), limits).expect("build");
+    got.push(("paper reachable".into(), cold_digest(&reachable)));
+    let full = ProfileGraph::build_full(paper.clone(), paper_vms(), limits).expect("build_full");
+    got.push(("paper full".into(), cold_digest(&full)));
+
+    let vms = paper_vms();
+    let base = ProfileGraph::build(space(), vms[1..].to_vec(), limits).expect("base");
+    let extended = base.extend(vms[..1].to_vec(), limits).expect("extend");
+    got.push(("6x6 reachable extend".into(), cold_digest(&extended)));
+    let full_base = ProfileGraph::build_full(paper, vms[..1].to_vec(), limits).expect("base");
+    let full_extended = full_base.extend(vms[1..].to_vec(), limits).expect("extend");
+    got.push(("paper full extend".into(), cold_digest(&full_extended)));
+
+    let config = PageRankConfig::default();
+    let mut base_vms = catalog::ec2_vm_types();
+    let delta = vec![base_vms.pop().expect("non-empty catalog")];
+    let book = ScoreBook::build(
+        coarse(),
+        &catalog::ec2_pm_types(),
+        &catalog::ec2_vm_types(),
+        &config,
+        limits,
+    )
+    .expect("coarse book");
+    for (pm, table) in book.tables() {
+        got.push((format!("coarse book {}", pm.name), table_digest(table)));
+    }
+    let base_book = ScoreBook::build(
+        coarse(),
+        &catalog::ec2_pm_types(),
+        &base_vms,
+        &config,
+        limits,
+    )
+    .expect("coarse base book");
+    let extended_book = base_book.extend(&delta, &config, limits).expect("extend");
+    for (pm, table) in extended_book.tables() {
+        got.push((
+            format!("coarse book extend {}", pm.name),
+            table_digest(table),
+        ));
+    }
+
+    // Only a deliberate change to graph or score bits may update these.
+    let want = [
+        ("paper reachable", 0x85cbc2ea433ec358),
+        ("paper full", 0x94e8c5bcd65c63b8),
+        ("6x6 reachable extend", 0x9610c7a4805cfef6),
+        ("paper full extend", 0x94e8c5bcd65c63b8),
+        ("coarse book M3", 0x918634e0f50146fc),
+        ("coarse book C3", 0xb32e445eeb89814f),
+        ("coarse book extend M3", 0x385813043bc17829),
+        ("coarse book extend C3", 0x22e9a9a279debcc3),
+    ];
+    let got: Vec<(&str, u64)> = got.iter().map(|(n, d)| (n.as_str(), *d)).collect();
+    assert_eq!(got, want);
 }

@@ -26,7 +26,7 @@
 //! tests drive the exact code path through `FaultFile<Cursor<Vec<u8>>>`
 //! with crash-point coins instead of mocking any of it.
 
-use crate::crc::crc32;
+use pagerankvm::cache::crc32;
 use prvm_faults::StorageFile;
 use prvm_model::{Assignment, VmSpec};
 use serde::{Deserialize, Serialize};

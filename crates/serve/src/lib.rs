@@ -25,7 +25,6 @@
 
 pub mod chaos;
 pub mod client;
-pub mod crc;
 pub mod journal;
 pub mod server;
 pub mod state;

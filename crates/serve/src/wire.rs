@@ -19,7 +19,7 @@
 //! prefixes are rejected from the header alone, so a hostile peer cannot
 //! make the decoder buffer unbounded payloads.
 
-use crate::crc::crc32;
+use pagerankvm::cache::crc32;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 

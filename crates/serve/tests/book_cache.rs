@@ -8,6 +8,19 @@ use prvm_model::Quantizer;
 use prvm_obs::Registry;
 use prvm_serve::{CatalogSpec, ServeState, Store};
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// The `serve.book_cache.*` counters are process-global and the test
+/// harness runs tests on parallel threads, so each test holds this lock
+/// for its whole body: no other test's boots can move the counters
+/// between a test's before and after reads.
+static COUNTERS: Mutex<()> = Mutex::new(());
+
+/// Take the counter lock. A test that failed while holding it poisons
+/// it; the guarded data is `()`, so the poison carries no broken state.
+fn serialize() -> MutexGuard<'static, ()> {
+    COUNTERS.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Coarse profile resolution: cache behaviour is resolution-independent
 /// and the coarse score book builds fast in debug mode.
@@ -37,6 +50,7 @@ fn misses() -> u64 {
 
 #[test]
 fn cold_start_miss_then_cached_hit_is_digest_identical() {
+    let _serial = serialize();
     let (_dir, store) = fresh_store("hit");
     let spec = catalog();
 
@@ -65,6 +79,7 @@ fn cold_start_miss_then_cached_hit_is_digest_identical() {
 
 #[test]
 fn corrupt_artifact_is_a_miss_that_heals_itself() {
+    let _serial = serialize();
     let (_dir, store) = fresh_store("corrupt");
     let spec = catalog();
 
@@ -97,6 +112,7 @@ fn corrupt_artifact_is_a_miss_that_heals_itself() {
 
 #[test]
 fn changed_catalog_invalidates_the_artifact() {
+    let _serial = serialize();
     let (_dir, store) = fresh_store("catalog");
     let spec = catalog();
     let _ = ServeState::load_or_build_book(&spec, &store.book_path()).expect("seed");

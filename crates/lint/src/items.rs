@@ -4,15 +4,21 @@
 //! This is a *linter's* view, not a compiler's: name resolution is
 //! same-crate and text-based, generics are skipped rather than
 //! understood, and anything unrecognised is stepped over. The output
-//! feeds the call graph (`callgraph.rs`) and the D/P rule families
-//! (`rules_v2.rs`), which are written to tolerate over-approximation:
-//! an extra edge or an unknown type makes a rule quieter or an
-//! allowlist entry longer, never a wrong program.
+//! feeds the call graph (`callgraph.rs`) and the rules (`rules.rs`),
+//! which are written to tolerate over-approximation: an extra edge or
+//! an unknown type makes a rule quieter or an allowlist entry longer,
+//! never a wrong program.
+//!
+//! The same attribute walk is the one test-region detector: items
+//! gated by `#[cfg(test)]` (or carrying `#[test]`) mark their fns
+//! `in_test`, and their lines are cut from each file's
+//! [`Items::code`] view.
 
 use crate::lex::{Kind, Token};
 use crate::scan::SourceFile;
 use crate::tokens::{self, Tree};
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 
 /// One extracted function (free fn, inherent/trait method, or trait
 /// default method).
@@ -26,7 +32,14 @@ pub struct FnItem {
     pub name: String,
     /// `SelfType::name` inside an `impl`/`trait` block, else `name`.
     pub qual: String,
+    /// 1-based line of the `fn` keyword (the signature line).
+    pub line: usize,
+    /// Any `pub`, restricted forms (`pub(crate)`, …) included.
     pub is_pub: bool,
+    /// Exactly `pub`: part of the crate's public API.
+    pub bare_pub: bool,
+    /// Its doc comments contain a `# Panics` section.
+    pub documents_panics: bool,
     /// Under `#[cfg(test)]` or carrying `#[test]`.
     pub in_test: bool,
     /// Flattened body tokens (group delimiters materialised).
@@ -57,6 +70,9 @@ pub struct TypeItem {
 pub struct Items {
     pub fns: Vec<FnItem>,
     pub types: Vec<TypeItem>,
+    /// One entry per input file, in order: its code tokens (no
+    /// whitespace or comments) outside test-gated items.
+    pub code: Vec<Vec<Token>>,
 }
 
 impl Items {
@@ -74,17 +90,21 @@ impl Items {
 pub fn extract(files: &[SourceFile]) -> Items {
     let mut items = Items::default();
     for file in files {
-        let trees = tokens::build(&file.tokens);
-        walk(
-            &trees,
-            &Ctx {
-                krate: &file.krate,
-                rel: &file.rel,
-            },
-            None,
-            false,
-            &mut items,
-        );
+        let ctx = Ctx {
+            krate: &file.krate,
+            rel: &file.rel,
+            self_type: None,
+            in_test: false,
+        };
+        let mut tests = Vec::new();
+        walk(&tokens::build(&file.tokens), &ctx, &mut items, &mut tests);
+        let code = file
+            .tokens
+            .iter()
+            .filter(|t| !t.kind.is_trivia() && !tests.iter().any(|r| r.contains(&t.line)))
+            .cloned()
+            .collect();
+        items.code.push(code);
     }
     items
 }
@@ -92,62 +112,115 @@ pub fn extract(files: &[SourceFile]) -> Items {
 struct Ctx<'a> {
     krate: &'a str,
     rel: &'a str,
+    /// The surrounding `impl`/`trait` self type.
+    self_type: Option<&'a str>,
+    /// Inside a test-gated item.
+    in_test: bool,
+}
+
+impl<'a> Ctx<'a> {
+    /// The context inside the body of the item `head` introduces.
+    fn inside<'b>(&self, self_type: Option<&'b str>, head: &Header) -> Ctx<'b>
+    where
+        'a: 'b,
+    {
+        Ctx {
+            krate: self.krate,
+            rel: self.rel,
+            self_type,
+            in_test: head.in_test,
+        }
+    }
+}
+
+/// What precedes an item's keyword: doc comments, attributes and
+/// visibility.
+struct Header {
+    in_test: bool,
+    is_pub: bool,
+    bare_pub: bool,
+    documents_panics: bool,
+    must_use: bool,
 }
 
 /// Walk one brace level: a file, `mod` body, or `impl`/`trait` body.
-fn walk(trees: &[Tree], ctx: &Ctx, self_type: Option<&str>, in_test: bool, items: &mut Items) {
+/// Each outermost test-gated item's line span goes to `tests`.
+fn walk(trees: &[Tree], ctx: &Ctx, items: &mut Items, tests: &mut Vec<RangeInclusive<usize>>) {
     let mut i = 0usize;
     while i < trees.len() {
-        i = parse_one(trees, i, ctx, self_type, in_test, items);
+        let start = i;
+        let Some(head) = header(trees, &mut i, ctx.in_test) else {
+            i += 1; // a `#` opening no attribute: step over it
+            continue;
+        };
+        i = parse_item(trees, i, ctx, &head, items, tests);
+        if head.in_test && !ctx.in_test {
+            let end = trees[..i.min(trees.len())].last().map_or(0, Tree::end);
+            tests.push(trees[start].line()..=end);
+        }
     }
 }
 
-/// Parse the item starting at `trees[i]`; returns the index just past it.
-/// Unrecognised constructs advance by one node (graceful degradation).
-#[allow(clippy::too_many_lines)]
-fn parse_one(
+/// Parse the doc comments, attributes (`#[…]`, `#![…]`) and visibility
+/// at `trees[*i..]`, leaving `*i` just past them. `None` when a `#`
+/// opens no attribute (`*i` is left on it).
+fn header(trees: &[Tree], i: &mut usize, in_test: bool) -> Option<Header> {
+    let mut head = Header {
+        in_test,
+        is_pub: false,
+        bare_pub: false,
+        documents_panics: false,
+        must_use: false,
+    };
+    loop {
+        match trees.get(*i) {
+            Some(Tree::Leaf(t)) if t.kind.is_doc() => {
+                head.documents_panics |= t.text.contains("# Panics");
+                *i += 1;
+            }
+            Some(Tree::Leaf(t)) if t.is_punct('#') => {
+                let j = *i + 1 + usize::from(is_punct(trees.get(*i + 1), '!'));
+                let Some(Tree::Group {
+                    open: '[',
+                    children,
+                    ..
+                }) = trees.get(j)
+                else {
+                    return None;
+                };
+                // Spaces stripped so `cfg (test)` renderings match `cfg(test…)`.
+                let attr = tokens::to_text(children).replace(' ', "");
+                head.in_test |= attr.starts_with("cfg(test")
+                    || attr.starts_with("cfg(all(test")
+                    || attr == "test";
+                head.must_use |= attr.starts_with("must_use");
+                *i = j + 1;
+            }
+            _ => break,
+        }
+    }
+    if is_ident(trees.get(*i), "pub") {
+        *i += 1;
+        head.is_pub = true;
+        head.bare_pub = !matches!(trees.get(*i), Some(Tree::Group { open: '(', .. }));
+        if !head.bare_pub {
+            *i += 1;
+        }
+    }
+    Some(head)
+}
+
+/// Parse the item at `trees[i]` (just past its header); returns the
+/// index just past it. Unrecognised constructs advance by one node
+/// (graceful degradation).
+fn parse_item(
     trees: &[Tree],
     mut i: usize,
     ctx: &Ctx,
-    self_type: Option<&str>,
-    in_test: bool,
+    head: &Header,
     items: &mut Items,
+    tests: &mut Vec<RangeInclusive<usize>>,
 ) -> usize {
-    // Attributes: `#[…]` (outer) and `#![…]` (inner).
-    let mut attrs: Vec<String> = Vec::new();
-    while is_punct(trees.get(i), '#') {
-        let mut j = i + 1;
-        if is_punct(trees.get(j), '!') {
-            j += 1;
-        }
-        if let Some(Tree::Group {
-            open: '[',
-            children,
-            ..
-        }) = trees.get(j)
-        {
-            // Spaces stripped so `cfg (test)` renderings match `cfg(test…)`.
-            attrs.push(tokens::to_text(children).replace(' ', ""));
-            i = j + 1;
-        } else {
-            return i + 1;
-        }
-    }
-    let here_in_test = in_test
-        || attrs
-            .iter()
-            .any(|a| a.starts_with("cfg(test") || a.starts_with("cfg(all(test") || a == "test");
-
-    // Visibility.
-    let mut is_pub = false;
-    if is_ident(trees.get(i), "pub") {
-        is_pub = true;
-        i += 1;
-        if matches!(trees.get(i), Some(Tree::Group { open: '(', .. })) {
-            i += 1;
-        }
-    }
-
     // Modifiers before `fn` (const fn / unsafe fn / async fn / extern fn).
     loop {
         match leaf_text(trees.get(i)) {
@@ -171,7 +244,7 @@ fn parse_one(
     }
 
     match leaf_text(trees.get(i)) {
-        Some("fn") => parse_fn(trees, i, ctx, self_type, here_in_test, is_pub, items),
+        Some("fn") => parse_fn(trees, i, ctx, head, items),
         Some("mod") => {
             // `mod name { … }` or `mod name;`.
             let mut j = i + 2;
@@ -181,7 +254,7 @@ fn parse_one(
                 ..
             }) = trees.get(j)
             {
-                walk(children, ctx, None, here_in_test, items);
+                walk(children, &ctx.inside(None, head), items, tests);
                 j += 1;
             } else if is_punct(trees.get(j), ';') {
                 j += 1;
@@ -196,26 +269,24 @@ fn parse_one(
                 ..
             }) = trees.get(body_at)
             {
-                walk(children, ctx, ty.as_deref(), here_in_test, items);
+                walk(children, &ctx.inside(ty.as_deref(), head), items, tests);
                 body_at + 1
             } else {
                 body_at
             }
         }
         Some("trait") => {
-            let name = leaf_text(trees.get(i + 1)).unwrap_or("").to_string();
+            let name = leaf_text(trees.get(i + 1)).unwrap_or("");
             let mut j = i + 2;
             while j < trees.len() && !matches!(trees.get(j), Some(Tree::Group { open: '{', .. })) {
                 j += 1;
             }
             if let Some(Tree::Group { children, .. }) = trees.get(j) {
-                walk(children, ctx, Some(&name), here_in_test, items);
+                walk(children, &ctx.inside(Some(name), head), items, tests);
             }
             j + 1
         }
-        Some(kw @ ("struct" | "enum" | "union")) => {
-            parse_type(trees, i, ctx, kw, here_in_test, is_pub, &attrs, items)
-        }
+        Some(kw @ ("struct" | "enum" | "union")) => parse_type(trees, i, ctx, kw, head, items),
         Some("macro_rules") => {
             // `macro_rules! name { … }` — never descend into macro soup.
             let mut j = i + 1;
@@ -237,15 +308,7 @@ fn parse_one(
 }
 
 /// Parse a `fn` item at `trees[i]` (the `fn` keyword).
-fn parse_fn(
-    trees: &[Tree],
-    i: usize,
-    ctx: &Ctx,
-    self_type: Option<&str>,
-    in_test: bool,
-    is_pub: bool,
-    items: &mut Items,
-) -> usize {
+fn parse_fn(trees: &[Tree], i: usize, ctx: &Ctx, head: &Header, items: &mut Items) -> usize {
     let Some(name) = leaf_text(trees.get(i + 1)).map(str::to_string) else {
         return i + 1;
     };
@@ -273,7 +336,7 @@ fn parse_fn(
         ..
     }) = trees.get(j)
     {
-        param_types(children, self_type, &mut types);
+        param_types(children, ctx.self_type, &mut types);
         j += 1;
     }
     // Return type / where clause: anything up to the body `{…}` or `;`.
@@ -297,7 +360,7 @@ fn parse_fn(
         }
     }
     let_annotations(&body, &mut types);
-    let qual = match self_type {
+    let qual = match ctx.self_type {
         Some(ty) => format!("{ty}::{name}"),
         None => name.clone(),
     };
@@ -306,25 +369,25 @@ fn parse_fn(
         rel: ctx.rel.to_string(),
         name,
         qual,
-        is_pub,
-        in_test,
+        line: trees[i].line(),
+        is_pub: head.is_pub,
+        bare_pub: head.bare_pub,
+        documents_panics: head.documents_panics,
+        in_test: head.in_test,
         body,
         types,
-        self_type: self_type.map(str::to_string),
+        self_type: ctx.self_type.map(str::to_string),
     });
     j
 }
 
 /// Parse `struct`/`enum`/`union` at `trees[i]` (the keyword).
-#[allow(clippy::too_many_arguments)]
 fn parse_type(
     trees: &[Tree],
     i: usize,
     ctx: &Ctx,
     kw: &str,
-    _in_test: bool,
-    is_pub: bool,
-    attrs: &[String],
+    head: &Header,
     items: &mut Items,
 ) -> usize {
     let line = trees[i].line();
@@ -362,8 +425,8 @@ fn parse_type(
         rel: ctx.rel.to_string(),
         line,
         name,
-        is_pub,
-        must_use: attrs.iter().any(|a| a.starts_with("must_use")),
+        is_pub: head.is_pub,
+        must_use: head.must_use,
         fields,
     });
     j
@@ -443,10 +506,11 @@ fn param_types(children: &[Tree], self_type: Option<&str>, out: &mut BTreeMap<St
 /// Record `name → type text` for named struct fields.
 fn struct_fields(children: &[Tree], out: &mut BTreeMap<String, String>) {
     for chunk in split_commas(children) {
-        // Skip per-field attributes and visibility.
+        // Skip per-field doc comments, attributes and visibility.
         let mut start = 0usize;
         while start < chunk.len() {
             match &chunk[start] {
+                Tree::Leaf(t) if t.kind.is_doc() => start += 1,
                 Tree::Leaf(t) if t.text == "#" => start += 2,
                 Tree::Leaf(t) if t.text == "pub" => {
                     start += 1;
@@ -572,7 +636,7 @@ mod tests {
     fn free_fn_and_method_qualification() {
         let items = extract_src(
             "pub fn top(n: usize) {}\n\
-             struct Foo { map: HashMap<u32, u32> }\n\
+             struct Foo {\n    /// Lookup table.\n    map: HashMap<u32, u32>,\n}\n\
              impl Foo {\n    pub fn get(&self, k: u32) -> u32 { self.map[&k] }\n}\n\
              impl Display for Foo {\n    fn fmt(&self) {}\n}\n",
         );
@@ -594,12 +658,17 @@ mod tests {
     fn cfg_test_and_test_attr_mark_fns() {
         let items = extract_src(
             "fn real() {}\n\
-             #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n    fn helper() {}\n}\n",
+             #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {}\n    fn helper() {}\n}\n\
+             fn after() {}\n",
         );
         let by_name = |n: &str| items.fns.iter().find(|f| f.name == n).unwrap();
-        assert!(!by_name("real").in_test);
+        assert!(!by_name("real").in_test && !by_name("after").in_test);
         assert!(by_name("t").in_test);
         assert!(by_name("helper").in_test);
+        // Test items' lines are cut from the code view.
+        let lines: Vec<usize> = items.code[0].iter().map(|t| t.line).collect();
+        assert!(lines.contains(&1) && lines.contains(&8));
+        assert!((2..=7).all(|n| !lines.contains(&n)), "{lines:?}");
     }
 
     #[test]

@@ -1,18 +1,17 @@
 //! A dependency-free, lossless Rust lexer.
 //!
 //! The one invariant everything downstream builds on: concatenating the
-//! `text` of every token reproduces the input byte-for-byte. Masking
-//! (`scan.rs`), token trees (`tokens.rs`) and item extraction
-//! (`items.rs`) are all views over this stream, so a lexer bug shows up
-//! as a reassembly mismatch rather than a silently wrong rule.
+//! `text` of every token reproduces the input byte-for-byte. Token
+//! trees (`tokens.rs`), item extraction (`items.rs`) and every rule are
+//! views over this stream, so a lexer bug shows up as a reassembly
+//! mismatch rather than a silently wrong rule.
 //!
 //! The lexer is deliberately coarse where coarseness is harmless: it
 //! does not validate numeric literals or distinguish keywords from
-//! identifiers (rules match on token text). It is exact where the old
-//! char-state-machine in `scan.rs` historically had to be careful:
-//! nested block comments, raw strings with arbitrary `#` counts, byte
-//! strings/chars, raw identifiers, and the lifetime-vs-char-literal
-//! ambiguity.
+//! identifiers (rules match on token text). It is exact where a
+//! text-level scanner would have to be careful: nested block comments,
+//! raw strings with arbitrary `#` counts, byte strings/chars, raw
+//! identifiers, and the lifetime-vs-char-literal ambiguity.
 
 /// Classification of one token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,10 +48,13 @@ impl Kind {
         )
     }
 
-    /// Literal tokens whose *contents* must never be pattern-matched as
-    /// code (the classic masking bugs).
-    pub fn is_literal_text(self) -> bool {
-        matches!(self, Kind::Str | Kind::RawStr | Kind::CharLit)
+    /// `///`, `//!`, `/** */` and `/*! */` comments: attributes to
+    /// rustc (`#[doc = …]`), and kept in the token tree as such.
+    pub fn is_doc(self) -> bool {
+        matches!(
+            self,
+            Kind::LineComment { doc: true } | Kind::BlockComment { doc: true }
+        )
     }
 }
 

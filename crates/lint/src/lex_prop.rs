@@ -1,6 +1,6 @@
 //! Property tests for the lexer's losslessness invariant.
 //!
-//! Everything downstream — masking, token trees, item extraction, the
+//! Everything downstream — token trees, item extraction, the rules, the
 //! call graph — assumes that concatenating `Token::text` in order
 //! reproduces the input byte-for-byte. These properties hammer that
 //! invariant from two directions: structured soup built from the

@@ -1,13 +1,11 @@
 //! `prvm-lint` — workspace-native static analysis for the PageRankVM
 //! reproduction.
 //!
-//! Two rule layers share one engine (see DESIGN.md §8 and §12):
-//!
-//! * the masked-line rules L001–L007 (`rules.rs`), now running on the
-//!   lossless lexer (`lex.rs`) instead of the old char state machine;
-//! * the token/call-graph rules D001–D004, P001 and L008
-//!   (`rules_v2.rs`), built on item extraction (`items.rs`) and a
-//!   same-crate call graph (`callgraph.rs`), scoped via `lint.toml`.
+//! One engine (see DESIGN.md §8 and §12): a lossless lexer (`lex.rs`),
+//! token trees (`tokens.rs`), item extraction (`items.rs`) and a
+//! same-crate call graph (`callgraph.rs`). Every rule — L001–L008,
+//! D001–D005 and P001 — is one entry of the `RULES` table in
+//! `rules.rs`, scoped by constants there and by `lint.toml`.
 //!
 //! ```text
 //! cargo run -p prvm-lint                     # lint the workspace
@@ -31,7 +29,6 @@ mod lex;
 mod lex_prop;
 mod output;
 mod rules;
-mod rules_v2;
 mod scan;
 mod selftest;
 mod tokens;
@@ -58,8 +55,8 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--rules" => {
-                for (id, desc) in output::CATALOG {
-                    println!("{id}  {desc}");
+                for rule in rules::RULES {
+                    println!("{}  {}", rule.id, rule.description);
                 }
                 return ExitCode::SUCCESS;
             }
@@ -112,8 +109,9 @@ fn main() -> ExitCode {
         }
     };
 
-    // Stale allowlist entries are themselves findings about lint.toml:
-    // errors by default, warnings under --allow-stale.
+    // Stale allowlist entries and unresolved names are themselves
+    // findings about lint.toml: errors by default, warnings under
+    // --allow-stale.
     let stale_ok = report.stale.is_empty() || allow_stale;
     for s in &report.stale {
         let sev = if allow_stale { "warning" } else { "error" };
@@ -155,7 +153,8 @@ pub(crate) struct Report {
     pub allowed: usize,
     /// Allowlist entries in lint.toml.
     pub entries: usize,
-    /// Rendered descriptions of allowlist entries that matched nothing.
+    /// Rendered descriptions of lint.toml entries that matched nothing:
+    /// allowlist lines and configured root/type names.
     pub stale: Vec<String>,
 }
 
@@ -174,12 +173,13 @@ pub(crate) fn run_lint(root: &Path, allowlist_path: &Path) -> Result<Report, Str
 
     let extracted = items::extract(&files);
     let graph = CallGraph::build(&extracted);
-
-    let mut findings: Vec<Finding> = Vec::new();
-    for file in &files {
-        rules::check(file, &mut findings);
-    }
-    rules_v2::check(&files, &extracted, &graph, &cfg, &mut findings);
+    let ws = rules::Workspace {
+        files: &files,
+        items: &extracted,
+        graph: &graph,
+        cfg: &cfg,
+    };
+    let mut findings = rules::check(&ws);
     findings.sort_by(|a, b| (&a.rel, a.line, a.rule).cmp(&(&b.rel, b.line, b.rule)));
 
     let mut reported = Vec::new();
@@ -192,7 +192,7 @@ pub(crate) fn run_lint(root: &Path, allowlist_path: &Path) -> Result<Report, Str
         }
     }
 
-    let stale = allowlist::stale(&entries)
+    let mut stale: Vec<String> = allowlist::stale(&entries)
         .into_iter()
         .map(|e| {
             format!(
@@ -202,6 +202,12 @@ pub(crate) fn run_lint(root: &Path, allowlist_path: &Path) -> Result<Report, Str
             )
         })
         .collect();
+    stale.extend(rules::unresolved_names(&ws).into_iter().map(|name| {
+        format!(
+            "lint.toml: {name} — the rule would silently lose coverage \
+             (pass --allow-stale to downgrade while refactoring)"
+        )
+    }));
 
     Ok(Report {
         findings: reported,
@@ -258,7 +264,7 @@ fn find_workspace_root() -> Result<PathBuf, String> {
     }
 }
 
-/// Read, lex and mask every `.rs` file under `crates/*/src`.
+/// Read and lex every `.rs` file under `crates/*/src`.
 fn collect_sources(root: &Path) -> Result<Vec<SourceFile>, String> {
     let crates_dir = root.join("crates");
     let mut out = Vec::new();
@@ -321,8 +327,8 @@ mod tests {
             "D004", "D005", "P001",
         ] {
             assert!(
-                output::CATALOG.iter().any(|(id, _)| *id == rule),
-                "{rule} missing from catalog"
+                rules::RULES.iter().any(|r| r.id == rule),
+                "{rule} missing from the rule table"
             );
         }
     }

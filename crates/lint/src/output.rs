@@ -8,63 +8,8 @@
 //! annotations: tool driver + rule metadata, and one result per finding
 //! with a physical location.
 
-use crate::rules::Finding;
+use crate::rules::{Finding, RULES};
 use serde::Value;
-
-/// Rule catalog: id → one-line description. Shared by `--rules`, the
-/// SARIF rule metadata, and the self-test's coverage check.
-pub const CATALOG: &[(&str, &str)] = &[
-    (
-        "L001",
-        "no unwrap()/expect() outside tests and binary targets",
-    ),
-    (
-        "L002",
-        "no lossy `as` numeric casts in core/model (units.rs is the sanctioned layer)",
-    ),
-    (
-        "L003",
-        "no raw f64 resource arithmetic in core/sim bypassing the units.rs newtypes",
-    ),
-    (
-        "L004",
-        "no unchecked slice indexing in hot paths (graph.rs, pagerank.rs, placer.rs)",
-    ),
-    (
-        "L005",
-        "every pub fn in core documents a `# Panics` section when it can panic",
-    ),
-    (
-        "L006",
-        "no bare .recv() / .send().unwrap() on crossbeam channels outside tests",
-    ),
-    (
-        "L007",
-        "non-trivial pub fns on hot paths open a profiling span (Span::enter/timed)",
-    ),
-    ("L008", "configured builder/score types carry #[must_use]"),
-    (
-        "D001",
-        "no HashMap/HashSet iteration reachable from the determinism roots",
-    ),
-    (
-        "D002",
-        "no Instant::now/SystemTime/RandomState in result-affecting crates",
-    ),
-    (
-        "D003",
-        "no float .sum()/.product() on hot paths (use the fixed-order fold)",
-    ),
-    ("D004", "no branching on worker count outside crates/par"),
-    (
-        "D005",
-        "no Pool use, spawn/sleep or blocking calls reachable from kernel event handlers",
-    ),
-    (
-        "P001",
-        "panic-surface report: panicking constructs reachable from pub fns in core/sim",
-    ),
-];
 
 fn obj(pairs: Vec<(&str, Value)>) -> Value {
     Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
@@ -104,12 +49,12 @@ pub fn to_json(findings: &[Finding], scanned: usize, allowlisted: usize) -> Stri
 
 /// The `--format sarif` document (SARIF 2.1.0, GitHub-ingestible).
 pub fn to_sarif(findings: &[Finding]) -> String {
-    let rules: Vec<Value> = CATALOG
+    let rules: Vec<Value> = RULES
         .iter()
-        .map(|(id, desc)| {
+        .map(|rule| {
             obj(vec![
-                ("id", s(id)),
-                ("shortDescription", obj(vec![("text", s(desc))])),
+                ("id", s(rule.id)),
+                ("shortDescription", obj(vec![("text", s(rule.description))])),
             ])
         })
         .collect();
@@ -230,7 +175,7 @@ mod tests {
         let Value::Array(rules) = driver.field("rules").unwrap() else {
             panic!("rules must be an array");
         };
-        assert_eq!(rules.len(), CATALOG.len());
+        assert_eq!(rules.len(), RULES.len());
         let Value::Array(results) = runs[0].field("results").unwrap() else {
             panic!("results must be an array");
         };

@@ -1,29 +1,9 @@
-//! Masked-line view of a source file, built on the lossless lexer.
-//!
-//! Historically this module was a hand-rolled char state machine; it is
-//! now a thin projection of `lex.rs`: comments and literal contents are
-//! blanked to spaces (newlines survive, so line structure is exact) and
-//! everything else is passed through verbatim. The line-based rules
-//! L001–L007 in `rules.rs` pattern-match on the masked text exactly as
-//! before — the old path is subsumed, not duplicated.
+//! One source file as the linter reads it: the lossless token stream
+//! every rule works on, plus the raw lines findings quote.
 
-use crate::lex::{self, Kind, Token};
+use crate::lex::{self, Token};
 
-/// One source line, in raw and code-only (masked) form.
-#[derive(Debug)]
-pub struct Line {
-    /// The original text of the line.
-    pub raw: String,
-    /// The line with comments removed and string/char literal contents
-    /// blanked to spaces (delimiters blanked too).
-    pub code: String,
-    /// True when the line is a `///` or `//!` doc comment.
-    pub is_doc: bool,
-    /// True when the line sits inside a `#[cfg(test)]`-gated item.
-    pub in_test: bool,
-}
-
-/// A fully scanned source file.
+/// A lexed source file.
 #[derive(Debug)]
 pub struct SourceFile {
     /// Path relative to the workspace root, with forward slashes.
@@ -33,184 +13,28 @@ pub struct SourceFile {
     /// True for binary targets (`src/main.rs`, `src/bin/*`, or any file of
     /// a crate without `src/lib.rs`).
     pub is_bin: bool,
-    /// Scanned lines, 0-indexed (line numbers in findings are 1-based).
-    pub lines: Vec<Line>,
-    /// The lossless token stream the masking was derived from; the
-    /// item/call-graph layer builds its trees from this.
+    /// The lossless token stream; token trees and items are built from it.
     pub tokens: Vec<Token>,
+    /// Raw source lines, 0-indexed (line numbers in findings are 1-based).
+    pub lines: Vec<String>,
 }
 
 impl SourceFile {
-    /// Scan `text` into masked lines plus the underlying token stream.
+    /// Lex `text` and keep its raw lines for excerpts.
     pub fn scan(rel: String, krate: String, is_bin: bool, text: &str) -> Self {
-        let tokens = lex::lex(text);
-        let lines = mask_tokens(text, &tokens);
         SourceFile {
             rel,
             krate,
             is_bin,
-            lines,
-            tokens,
-        }
-    }
-}
-
-/// Mask `text` into per-line raw/code pairs (token-based).
-#[cfg(test)]
-pub fn mask(text: &str) -> Vec<Line> {
-    let tokens = lex::lex(text);
-    mask_tokens(text, &tokens)
-}
-
-fn mask_tokens(text: &str, tokens: &[Token]) -> Vec<Line> {
-    let mut masked = String::with_capacity(text.len());
-    let mut doc_lines = std::collections::BTreeSet::new();
-    for t in tokens {
-        let blank = t.kind.is_trivia() && t.kind != Kind::Whitespace || t.kind.is_literal_text();
-        if blank {
-            for c in t.text.chars() {
-                masked.push(if c == '\n' { '\n' } else { ' ' });
-            }
-        } else {
-            masked.push_str(&t.text);
-        }
-        if let Kind::LineComment { doc: true } | Kind::BlockComment { doc: true } = t.kind {
-            let span = t.text.matches('\n').count();
-            doc_lines.extend(t.line..=t.line + span);
+            tokens: lex::lex(text),
+            lines: text.split('\n').map(str::to_string).collect(),
         }
     }
 
-    let mut lines: Vec<Line> = text
-        .split('\n')
-        .zip(masked.split('\n'))
-        .enumerate()
-        .map(|(n, (raw, code))| Line {
-            raw: raw.to_string(),
-            code: code.to_string(),
-            is_doc: doc_lines.contains(&(n + 1)),
-            in_test: false,
-        })
-        .collect();
-    mark_test_regions(&mut lines);
-    lines
-}
-
-/// Mark lines covered by a `#[cfg(test)]`-gated item (typically
-/// `mod tests { … }`): from the attribute to the matching close brace.
-fn mark_test_regions(lines: &mut [Line]) {
-    let mut pending = false;
-    let mut region_depth: Option<usize> = None;
-    let mut depth = 0usize;
-    for line in lines.iter_mut() {
-        let code = line.code.clone();
-        if code.contains("#[cfg(test)]") || code.contains("#[cfg(all(test") {
-            pending = true;
-        }
-        if pending || region_depth.is_some() {
-            line.in_test = true;
-        }
-        for ch in code.chars() {
-            match ch {
-                '{' => {
-                    depth += 1;
-                    if pending {
-                        pending = false;
-                        region_depth = Some(depth);
-                    }
-                }
-                '}' => {
-                    if region_depth == Some(depth) {
-                        region_depth = None;
-                    }
-                    depth = depth.saturating_sub(1);
-                }
-                ';' if pending && region_depth.is_none() => {
-                    // `#[cfg(test)] use …;` — gates a single statement.
-                    pending = false;
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn codes(src: &str) -> Vec<String> {
-        mask(src).into_iter().map(|l| l.code).collect()
-    }
-
-    #[test]
-    fn strips_line_and_block_comments() {
-        let c = codes("let x = 1; // unwrap()\nlet y = /* as f64 */ 2;\n");
-        assert!(!c[0].contains("unwrap"));
-        assert!(c[0].contains("let x = 1;"));
-        assert!(!c[1].contains("as f64"));
-        assert!(c[1].contains("2;"));
-    }
-
-    #[test]
-    fn strips_string_contents_but_keeps_code() {
-        let c = codes("foo(\"x.unwrap()\"); bar.unwrap();\n");
-        assert_eq!(c[0].matches(".unwrap()").count(), 1);
-        assert!(c[0].contains("bar.unwrap();"));
-    }
-
-    #[test]
-    fn raw_strings_and_escapes() {
-        let c = codes("let s = r#\"as u64 \"quoted\"\"#; s.expect(\"\\\" as f64\");\n");
-        assert!(!c[0].contains("as u64"));
-        assert!(!c[0].contains("as f64"));
-        assert!(c[0].contains(".expect("));
-    }
-
-    #[test]
-    fn lifetimes_are_not_char_literals() {
-        let c = codes("fn f<'a>(x: &'a str) -> char { 'x' }\nlet y = x[0];\n");
-        assert!(c[0].contains("fn f<'a>(x: &'a str)"));
-        assert!(!c[0].contains("'x'"));
-        assert!(c[1].contains("x[0]"));
-    }
-
-    #[test]
-    fn nested_block_comments() {
-        let c = codes("a /* outer /* inner */ still */ b.unwrap()\n");
-        assert!(c[0].contains("b.unwrap()"));
-        assert!(!c[0].contains("still"));
-    }
-
-    #[test]
-    fn multiline_strings_keep_line_structure() {
-        let c = codes("let s = \"first\nsecond\"; done();\n");
-        assert_eq!(c.len(), 3);
-        assert!(!c[0].contains("first"));
-        assert!(!c[1].contains("second"));
-        assert!(c[1].contains("done();"));
-    }
-
-    #[test]
-    fn doc_lines_flagged() {
-        let lines = mask("/// # Panics\n//// separator\nfn f() {}\n");
-        assert!(lines[0].is_doc);
-        assert!(!lines[1].is_doc);
-        assert!(!lines[2].is_doc);
-    }
-
-    #[test]
-    fn cfg_test_region_is_marked() {
-        let src = "fn a() { x.unwrap(); }\n#[cfg(test)]\nmod tests {\n    fn b() { y.unwrap(); }\n}\nfn c() {}\n";
-        let lines = mask(src);
-        assert!(!lines[0].in_test);
-        assert!(lines[1].in_test && lines[2].in_test && lines[3].in_test && lines[4].in_test);
-        assert!(!lines[5].in_test);
-    }
-
-    #[test]
-    fn cfg_test_on_statement_does_not_swallow_file() {
-        let src = "#[cfg(test)]\nuse foo::bar;\nfn c() { z.unwrap(); }\n";
-        let lines = mask(src);
-        assert!(!lines[2].in_test);
+    /// The trimmed raw text of 1-based `line` (empty when out of range).
+    pub fn excerpt(&self, line: usize) -> String {
+        self.lines
+            .get(line.saturating_sub(1))
+            .map_or_else(String::new, |l| l.trim().to_string())
     }
 }

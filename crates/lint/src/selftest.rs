@@ -1,20 +1,17 @@
 //! `--self-test`: prove the engine still catches seeded violations.
 //!
 //! Writes a synthetic workspace into a temp directory with exactly one
-//! deliberate violation per rule (L001–L008, D001–D004, P001), runs the
+//! deliberate violation per rule (L001–L008, D001–D005, P001), runs the
 //! full lint pipeline on it with an empty allowlist, and fails unless
-//! *every* rule fires. This is the acceptance check that a refactor of
-//! the lexer/call-graph stack cannot silently lobotomise a rule: CI
-//! runs it next to the clean-tree check, so "zero findings" always
-//! means "zero findings from a detector that demonstrably detects".
+//! *every* rule in the `RULES` table fires — a rule added without a
+//! seeded violation fails the self-test. This is the acceptance check
+//! that a refactor of the lexer/call-graph stack cannot silently
+//! lobotomise a rule: CI runs it next to the clean-tree check, so "zero
+//! findings" always means "zero findings from a detector that
+//! demonstrably detects".
 
+use crate::rules::RULES;
 use std::path::{Path, PathBuf};
-
-/// Rule ids the seeded tree must trigger.
-const EXPECTED: &[&str] = &[
-    "L001", "L002", "L003", "L004", "L005", "L006", "L007", "L008", "D001", "D002", "D003", "D004",
-    "D005", "P001",
-];
 
 const SELFTEST_TOML: &str = "\
 [rule.D001]
@@ -107,15 +104,15 @@ pub fn run() -> Result<(), String> {
     let result = seeded_run(&root);
     let _ = std::fs::remove_dir_all(&root); // best-effort cleanup
     let fired = result?;
-    let missing: Vec<&str> = EXPECTED
+    let missing: Vec<&str> = RULES
         .iter()
-        .copied()
-        .filter(|r| !fired.iter().any(|f| f == r))
+        .map(|r| r.id)
+        .filter(|id| !fired.iter().any(|f| f == id))
         .collect();
     if missing.is_empty() {
         println!(
             "prvm-lint: self-test ok — all {} rules fired on the seeded tree",
-            EXPECTED.len()
+            RULES.len()
         );
         Ok(())
     } else {
@@ -160,10 +157,11 @@ mod tests {
         let result = seeded_run(&root);
         let _ = std::fs::remove_dir_all(&root);
         let fired = result.expect("seeded run");
-        for rule in EXPECTED {
+        for rule in RULES {
             assert!(
-                fired.iter().any(|f| f == rule),
-                "{rule} did not fire; fired: {fired:?}"
+                fired.iter().any(|f| f == rule.id),
+                "{} did not fire; fired: {fired:?}",
+                rule.id
             );
         }
     }

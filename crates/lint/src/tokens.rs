@@ -1,9 +1,10 @@
 //! Token trees: the lexer's flat stream grouped by `()`/`[]`/`{}`.
 //!
-//! Trivia (whitespace, comments) is dropped here — the tree is the
-//! *code* view that `items.rs` and the D/P rules walk. Doc comments and
-//! exact masking live in `scan.rs`, which works on the raw token
-//! stream instead.
+//! Whitespace and plain comments are dropped here — the tree is the
+//! *code* view that `items.rs` and the rules walk. Doc comments stay as
+//! leaves: to rustc they are `#[doc = …]` attributes, and `items.rs`
+//! reads them as such (the `# Panics` section L005 asks for). Flattened
+//! bodies leave them out again.
 //!
 //! Angle brackets are **not** delimiters (matching rustc's own token
 //! trees): `Vec<f64>` appears as `Vec` `<` `f64` `>` leaves, and
@@ -14,12 +15,14 @@ use crate::lex::{Kind, Token};
 /// One node of the token tree.
 #[derive(Debug)]
 pub enum Tree {
-    /// A non-trivia token outside any special handling.
+    /// A code token or a doc comment.
     Leaf(Token),
-    /// A delimited group; `open` is `(`, `[` or `{`.
+    /// A delimited group; `open` is `(`, `[` or `{`. `line` and
+    /// `end` are the 1-based lines of its open and close delimiters.
     Group {
         open: char,
         line: usize,
+        end: usize,
         children: Vec<Tree>,
     },
 }
@@ -32,9 +35,18 @@ impl Tree {
             Tree::Group { line, .. } => *line,
         }
     }
+
+    /// The 1-based source line this node ends on.
+    pub fn end(&self) -> usize {
+        match self {
+            Tree::Leaf(t) => t.line,
+            Tree::Group { end, .. } => *end,
+        }
+    }
 }
 
-/// Build token trees from a lexed stream, skipping trivia.
+/// Build token trees from a lexed stream, skipping whitespace and
+/// plain comments.
 ///
 /// Unbalanced close delimiters are kept as plain leaves rather than
 /// failing: the linter must degrade gracefully on any input that
@@ -42,31 +54,36 @@ impl Tree {
 pub fn build(tokens: &[Token]) -> Vec<Tree> {
     let mut iter = tokens
         .iter()
-        .filter(|t| !t.kind.is_trivia())
+        .filter(|t| !t.kind.is_trivia() || t.kind.is_doc())
         .cloned()
         .peekable();
-    parse_group(&mut iter, None)
+    parse_group(&mut iter, None).0
 }
 
+/// Children up to the `closing` delimiter, and the line it sits on
+/// (the last child's line when the input ends first).
 fn parse_group(
     iter: &mut std::iter::Peekable<impl Iterator<Item = Token>>,
     closing: Option<char>,
-) -> Vec<Tree> {
+) -> (Vec<Tree>, Option<usize>) {
     let mut out = Vec::new();
     while let Some(tok) = iter.peek() {
         if tok.kind == Kind::Punct {
             let c = tok.text.chars().next().unwrap_or('\0');
             if Some(c) == closing {
+                let end = tok.line;
                 iter.next();
-                return out;
+                return (out, Some(end));
             }
             if let Some(close) = matching_close(c) {
                 let line = tok.line;
                 iter.next();
-                let children = parse_group(iter, Some(close));
+                let (children, end) = parse_group(iter, Some(close));
+                let end = end.unwrap_or_else(|| children.last().map_or(line, Tree::end));
                 out.push(Tree::Group {
                     open: c,
                     line,
+                    end,
                     children,
                 });
                 continue;
@@ -74,7 +91,7 @@ fn parse_group(
         }
         out.push(Tree::Leaf(iter.next().expect("peeked")));
     }
-    out
+    (out, None)
 }
 
 fn matching_close(open: char) -> Option<char> {
@@ -86,23 +103,23 @@ fn matching_close(open: char) -> Option<char> {
     }
 }
 
-/// Flatten a subtree back into a linear token sequence, materialising
-/// group delimiters as `Punct` tokens. This is the form the body
-/// scanners in `rules_v2.rs` pattern-match on.
+/// Flatten a subtree back into a linear code-token sequence (doc
+/// comments dropped), materialising group delimiters as `Punct` tokens.
+/// This is the form the fn-body scanners in `rules.rs` pattern-match on.
 pub fn flatten(trees: &[Tree], out: &mut Vec<Token>) {
     for tree in trees {
         match tree {
+            Tree::Leaf(t) if t.kind.is_doc() => {}
             Tree::Leaf(t) => out.push(t.clone()),
             Tree::Group {
                 open,
                 line,
+                end,
                 children,
             } => {
                 out.push(punct(*open, *line));
                 flatten(children, out);
-                let close = matching_close(*open).unwrap_or(*open);
-                let end = children.last().map_or(*line, |c| c.line());
-                out.push(punct(close, end));
+                out.push(punct(matching_close(*open).unwrap_or(*open), *end));
             }
         }
     }
@@ -174,6 +191,17 @@ mod tests {
         flatten(&trees, &mut flat);
         let texts: Vec<&str> = flat.iter().map(|t| t.text.as_str()).collect();
         assert_eq!(texts, vec!["f", "(", "x", "[", "0", "]", ")"]);
+    }
+
+    #[test]
+    fn groups_record_their_close_line_and_keep_doc_comments() {
+        let t = tree_of("/// # Panics\nfn f() {\n    g();\n}\n");
+        assert!(matches!(&t[0], Tree::Leaf(tok) if tok.kind.is_doc()));
+        assert_eq!((t[4].line(), t[4].end()), (2, 4));
+        let mut flat = Vec::new();
+        flatten(&t, &mut flat);
+        assert_eq!(flat.first().map(|f| f.text.as_str()), Some("fn"));
+        assert_eq!(flat.last().map(|f| f.line), Some(4));
     }
 
     #[test]

@@ -165,6 +165,9 @@ mod tests {
 
     #[test]
     fn allocations_move_the_counters() {
+        // Serialized with `windows_observe_net_and_peak`: a 1 MiB block
+        // live inside its window would break the net-bytes bound.
+        let _guard = crate::global_registry_test_lock();
         let before = stats();
         let block = vec![0u8; 1 << 20];
         std::hint::black_box(&block);

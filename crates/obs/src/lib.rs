@@ -156,7 +156,9 @@ macro_rules! histogram {
 }
 
 /// Serializes unit tests that read or swap the global registry, so a
-/// swap in one test cannot redirect another test's recordings.
+/// swap in one test cannot redirect another test's recordings. Tests
+/// that allocate 64 KiB or more take it too: the allocator counters are
+/// process-global, and a large live block skews a `MemoryWindow`.
 #[cfg(test)]
 pub(crate) fn global_registry_test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

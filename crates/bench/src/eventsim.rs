@@ -8,7 +8,7 @@
 //! perf sweep and the loadgen cell.
 
 use prvm_baselines::{FirstFit, MinimumMigrationTime};
-use prvm_sim::{build_cluster, simulate_recorded, FaultPlan, SimConfig, Workload, WorkloadConfig};
+use prvm_sim::{build_cluster, FaultPlan, Scenario, SimConfig, Workload, WorkloadConfig};
 use prvm_traces::TraceKind;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -213,19 +213,24 @@ pub fn run(args: &EventSimArgs) -> Result<EventSimReport, String> {
     let plan = FaultPlan::preset(EVENTSIM_PRESET, scans, 77)
         .ok_or_else(|| format!("unknown fault preset {EVENTSIM_PRESET:?}"))?;
     let workload = Workload::generate(&wl, scans, args.seed);
+    let scenario = Scenario {
+        faults: plan,
+        ..Scenario::default()
+    };
     let mut best_elapsed_ms = f64::INFINITY;
     let mut stats = None;
     for _ in 0..args.repeats {
         let t = Instant::now();
-        let (_, _, s) = simulate_recorded(
-            &sim,
-            build_cluster(&wl),
-            &workload,
-            &mut FirstFit::new(),
-            &mut MinimumMigrationTime::new(),
-            &plan,
-        )
-        .map_err(|e| e.to_string())?;
+        let s = scenario
+            .run(
+                &sim,
+                build_cluster(&wl),
+                &workload,
+                &mut FirstFit::new(),
+                &mut MinimumMigrationTime::new(),
+            )
+            .map_err(|e| e.to_string())?
+            .stats;
         let elapsed_ms = t.elapsed().as_secs_f64() * 1e3;
         if let Some(prev) = &stats {
             if prev != &s {

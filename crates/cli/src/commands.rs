@@ -8,8 +8,7 @@ use prvm_model::{catalog, Assignment, Quantizer};
 use prvm_obs::{LogMode, ObsConfig, Registry, Span};
 use prvm_serve::{CatalogSpec, Client, IoChaosOutcome, Server, ServerConfig, Store};
 use prvm_sim::{
-    build_cluster, simulate_faulty, simulate_traced, simulate_with_audit, Algorithm, FaultPlan,
-    SimConfig, Workload, WorkloadConfig,
+    build_cluster, Algorithm, FaultPlan, Scenario, SimConfig, Workload, WorkloadConfig,
 };
 use prvm_testbed::{run_testbed, TestbedConfig};
 use prvm_traces::TraceKind;
@@ -412,13 +411,16 @@ pub fn simulate(args: &[String]) -> Result<(), String> {
     let workload = Workload::generate(&wl, sim.scans(), seed);
     let book = prvm_sim::ec2_score_book().map_err(|e| e.to_string())?;
     let (mut placer, mut evictor) = algorithm.build(&book, seed);
-    let (o, ts) = simulate_traced(
-        &sim,
-        build_cluster(&wl),
-        &workload,
-        placer.as_mut(),
-        evictor.as_mut(),
-    );
+    let run = Scenario::default()
+        .run(
+            &sim,
+            build_cluster(&wl),
+            &workload,
+            placer.as_mut(),
+            evictor.as_mut(),
+        )
+        .map_err(|e| e.to_string())?;
+    let o = run.outcome;
     println!(
         "{} over {hours} h, {n} VMs (seed {seed}):",
         algorithm.name()
@@ -432,7 +434,7 @@ pub fn simulate(args: &[String]) -> Result<(), String> {
 
     if let Some(path) = value_of(&f, "csv")? {
         let mut file = std::fs::File::create(path).map_err(|e| e.to_string())?;
-        ts.write_csv(&mut file).map_err(|e| e.to_string())?;
+        run.series.write_csv(&mut file).map_err(|e| e.to_string())?;
         println!("  per-scan time series written to {path}");
     }
     drop(run_span);
@@ -584,13 +586,10 @@ pub struct ChaosRow {
 ///
 /// # Errors
 ///
-/// Propagates score-book construction failures.
-pub fn chaos_matrix(
-    seed: u64,
-    scans: usize,
-    n_vms: usize,
-) -> Result<Vec<ChaosRow>, pagerankvm::GraphError> {
-    let book = prvm_sim::ec2_score_book()?;
+/// Score-book construction failures and an invalid simulation config,
+/// as messages.
+pub fn chaos_matrix(seed: u64, scans: usize, n_vms: usize) -> Result<Vec<ChaosRow>, String> {
+    let book = prvm_sim::ec2_score_book().map_err(|e| e.to_string())?;
     let base = SimConfig::default();
     let sim = SimConfig {
         horizon_s: scans as u64 * base.scan_interval_s,
@@ -603,14 +602,19 @@ pub fn chaos_matrix(
             let plan = FaultPlan::preset(fault, scans, seed).expect("known preset name");
             let workload = Workload::generate(&wl, sim.scans(), seed);
             let (mut placer, mut evictor) = algorithm.build(&book, seed);
-            let o = simulate_faulty(
+            let o = Scenario {
+                faults: plan,
+                ..Scenario::default()
+            }
+            .run(
                 &sim,
                 build_cluster(&wl),
                 &workload,
                 placer.as_mut(),
                 evictor.as_mut(),
-                &plan,
-            );
+            )
+            .map_err(|e| e.to_string())?
+            .outcome;
             rows.push(ChaosRow {
                 algorithm: algorithm.name(),
                 fault,
@@ -693,7 +697,7 @@ pub fn chaos(args: &[String]) -> Result<(), String> {
     let metrics = obs_setup(&f)?;
     let run_span = Span::enter("chaos");
 
-    let rows = chaos_matrix(seed, scans, n).map_err(|e| e.to_string())?;
+    let rows = chaos_matrix(seed, scans, n)?;
     println!(
         "chaos matrix: {} algorithms x {} fault presets ({n} VMs, {scans} scans, seed {seed})",
         Algorithm::PAPER_SET.len(),
@@ -759,14 +763,20 @@ pub fn audit(args: &[String]) -> Result<(), String> {
     let wl = WorkloadConfig::sized_for(n, TraceKind::PlanetLab);
     let workload = Workload::generate(&wl, sim.scans(), seed);
     let (mut placer, mut evictor) = algorithm.build(&book, seed);
-    let (_, sim_report) = simulate_with_audit(
-        &sim,
-        build_cluster(&wl),
-        &workload,
-        placer.as_mut(),
-        evictor.as_mut(),
-    );
-    report.merge(sim_report);
+    let audited = Scenario {
+        audit: true,
+        ..Scenario::default()
+    };
+    let run = audited
+        .run(
+            &sim,
+            build_cluster(&wl),
+            &workload,
+            placer.as_mut(),
+            evictor.as_mut(),
+        )
+        .map_err(|e| e.to_string())?;
+    report.merge(run.audit.unwrap_or_default());
 
     println!(
         "audited {} over {hours} h, {n} VMs (seed {seed}):",

@@ -4,9 +4,9 @@ use prvm_traces::TraceKind;
 use serde::{Deserialize, Serialize};
 
 /// A configuration the engine cannot run. Produced by
-/// [`SimConfig::validate`] / [`MultiConfig::validate`]; the panicking
-/// [`SimConfig::scans`] path reports the same conditions for callers that
-/// prefer an assert.
+/// [`SimConfig::validate`] / [`MultiConfig::validate`], and returned by
+/// [`crate::Scenario::run`] and [`crate::simulate_multi`] before any work
+/// starts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimConfigError {
     /// `scan_interval_s == 0`: the scan cadence must be positive.
@@ -85,26 +85,13 @@ impl SimConfig {
         Ok(())
     }
 
-    /// Number of scan intervals in the horizon.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scan_interval_s` is zero. Use [`Self::try_scans`] for a
-    /// typed error instead.
+    /// Number of scan intervals in the horizon; 0 when
+    /// `scan_interval_s == 0`, a configuration [`Self::validate`] rejects.
     #[must_use]
     pub fn scans(&self) -> usize {
-        assert!(self.scan_interval_s > 0, "scan interval must be positive");
-        (self.horizon_s / self.scan_interval_s) as usize
-    }
-
-    /// Number of scan intervals in the horizon, validating first.
-    ///
-    /// # Errors
-    ///
-    /// [`SimConfigError::ZeroScanInterval`] when `scan_interval_s == 0`.
-    pub fn try_scans(&self) -> Result<usize, SimConfigError> {
-        self.validate()?;
-        Ok((self.horizon_s / self.scan_interval_s) as usize)
+        self.horizon_s
+            .checked_div(self.scan_interval_s)
+            .map_or(0, |n| n as usize)
     }
 }
 
@@ -209,25 +196,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_scan_interval_rejected() {
+    fn zero_scan_interval_is_a_typed_error() {
         let c = SimConfig {
             scan_interval_s: 0,
             ..SimConfig::default()
         };
-        let _ = c.scans();
-    }
-
-    #[test]
-    fn try_scans_returns_typed_error() {
-        let c = SimConfig {
-            scan_interval_s: 0,
-            ..SimConfig::default()
-        };
-        assert_eq!(c.try_scans(), Err(SimConfigError::ZeroScanInterval));
+        assert_eq!(c.scans(), 0, "scans() is total");
         assert_eq!(c.validate(), Err(SimConfigError::ZeroScanInterval));
+        let wl = WorkloadConfig::sized_for(4, TraceKind::PlanetLab);
+        let run = crate::Scenario::default().run(
+            &c,
+            crate::build_cluster(&wl),
+            &crate::Workload::generate(&wl, 1, 0),
+            &mut prvm_baselines::FirstFit::new(),
+            &mut prvm_baselines::MinimumMigrationTime::new(),
+        );
+        assert_eq!(run.err(), Some(SimConfigError::ZeroScanInterval));
         let ok = SimConfig::default();
-        assert_eq!(ok.try_scans(), Ok(288));
+        assert_eq!(ok.scans(), 288);
+        assert_eq!(ok.validate(), Ok(()));
         assert!(format!("{}", SimConfigError::ZeroScanInterval).contains("positive"));
     }
 

@@ -10,12 +10,14 @@
 //! did (recoveries → crashes → evacuations → departures → scan →
 //! sample), so [`SimOutcome`] stays bit-identical to the pre-kernel
 //! engine — the golden equivalence tests in `tests/kernel.rs` pin this
-//! across every fault preset. Churn ([`simulate_churn`]) adds
-//! mid-horizon VM departures the old loop could not express.
+//! across every fault preset. [`Scenario::run`] is the one entry point:
+//! its [`Scenario::departures`] add mid-horizon VM departures the old
+//! loop could not express.
 
 use crate::config::{SimConfig, SimConfigError};
 use crate::energy::PowerCurve;
 use crate::kernel::{Event, EventHandler, EventRecord, Kernel, KernelStats};
+use crate::timeseries::{ScanSample, TimeSeries};
 use crate::workload::{DepartureModel, Workload};
 use pagerankvm::audit::{self, AuditReport};
 use prvm_faults::{FaultClock, FaultPlan};
@@ -67,7 +69,7 @@ pub struct SimOutcome {
     /// (re-place scan − crash scan) × scan interval, in seconds.
     pub recovery_time_s: u64,
     /// VMs that left mid-horizon under the churn model
-    /// ([`simulate_churn`]); always 0 on the paper path.
+    /// ([`Scenario::departures`]); always 0 on the paper path.
     pub departures: usize,
 }
 
@@ -91,11 +93,137 @@ struct PendingEvac {
     next_attempt: usize,
 }
 
-/// Run one simulation: place `workload` with `placer`, then scan for
-/// [`SimConfig::scans`] intervals, migrating VMs off overloaded PMs with
-/// `evictor` + `placer`.
+/// The settable inputs of one simulated run. `Scenario::default()` is
+/// the paper path: no faults, no departures, no audit.
 ///
-/// Deterministic given the workload seed and the algorithms.
+/// The per-scan [`TimeSeries`] and the kernel's event trace are not
+/// settings: every run records both into its [`SimRun`]. A no-fault day
+/// dispatches 1 + 2 × 288 events and pushes 288 samples, which is noise
+/// next to the scans themselves.
+#[derive(Debug, Clone, Default)]
+pub struct Scenario {
+    /// Consulted each scan: scheduled PM crashes evacuate their
+    /// residents through the placer with bounded retry, migrations may
+    /// transiently fail, and trace reads may return corrupted
+    /// utilizations. [`FaultPlan::none`] (the default) is byte-identical
+    /// to a run without the fault layer.
+    pub faults: FaultPlan,
+    /// DVBP-style churn: each placed VM draws a seeded lifetime from the
+    /// model and departs when it expires (a `VmDeparture` event on the
+    /// kernel), freeing capacity for the rest of the horizon. `None`
+    /// (the default) schedules no departures, so paper numbers are
+    /// untouched.
+    pub departures: Option<DepartureModel>,
+    /// Run the full invariant audit
+    /// ([`pagerankvm::audit::check_cluster`]) after the initial
+    /// allocation, every evacuation sweep and every scan's migrations,
+    /// and return the accumulated report in [`SimRun::audit`]. Without
+    /// it the same checks run debug-assert gated (free in release).
+    pub audit: bool,
+}
+
+/// Everything one [`Scenario::run`] produces.
+#[derive(Debug, Clone)]
+pub struct SimRun {
+    /// The paper's metrics and the fault/churn counters.
+    pub outcome: SimOutcome,
+    /// One row per scan: active PMs, utilization, overloads,
+    /// migrations, energy and the fault columns.
+    pub series: TimeSeries,
+    /// Every dispatch in the kernel's total (time, class, seq) order:
+    /// the determinism proofs compare these across runs.
+    pub events: Vec<EventRecord>,
+    /// The kernel's dispatch totals; [`KernelStats::dispatched`] is the
+    /// bench harness's events/second numerator.
+    pub stats: KernelStats,
+    /// The audit report, present exactly when [`Scenario::audit`] is set.
+    pub audit: Option<AuditReport>,
+}
+
+impl Scenario {
+    /// Run one simulation: place `workload` with `placer`, then scan for
+    /// [`SimConfig::scans`] intervals, migrating VMs off overloaded PMs
+    /// with `evictor` + `placer`, under this scenario's faults and
+    /// departures.
+    ///
+    /// Deterministic given the workload seed, the fault plan and the
+    /// algorithms.
+    ///
+    /// # Errors
+    ///
+    /// [`SimConfigError::ZeroScanInterval`] when `sim.scan_interval_s == 0`.
+    pub fn run(
+        &self,
+        sim: &SimConfig,
+        cluster: Cluster,
+        workload: &Workload,
+        placer: &mut dyn PlacementAlgorithm,
+        evictor: &mut dyn EvictionPolicy,
+    ) -> Result<SimRun, SimConfigError> {
+        sim.validate()?;
+        Ok(self.drive(sim, cluster, workload, placer, evictor))
+    }
+
+    /// The body of [`Scenario::run`] on a validated `sim`: build the
+    /// driver, load the compatibility scenario, run the kernel to
+    /// quiescence and assemble the result.
+    fn drive(
+        &self,
+        sim: &SimConfig,
+        cluster: Cluster,
+        workload: &Workload,
+        placer: &mut dyn PlacementAlgorithm,
+        evictor: &mut dyn EvictionPolicy,
+    ) -> SimRun {
+        let scans = sim.scans();
+        let mut kernel = Kernel::new();
+        schedule_compat(&mut kernel, sim, scans, &self.faults);
+        // Per-scan profile series: wall time paired with the scan's
+        // virtual time, so a profiling run can line wall-clock cost up
+        // against the simulated clock. Handles are resolved once,
+        // outside the run.
+        let registry = prvm_obs::Registry::global();
+        let mut driver = ScanDriver {
+            sim,
+            scans,
+            cluster,
+            workload,
+            placer,
+            evictor,
+            clock: FaultClock::new(&self.faults),
+            departures: self.departures,
+            series: TimeSeries::new(),
+            auditor: self.audit.then(AuditReport::default),
+            vm_demand: HashMap::new(),
+            pending_evacs: Vec::new(),
+            totals: Totals::default(),
+            last: Totals::default(),
+            staged: StagedScan::default(),
+            scan_offline: 0,
+            pms_used_initial: 0,
+            max_active: 0,
+            scan_started: None,
+            scan_wall_series: registry.series("sim.scan.wall_ms"),
+            scan_virtual_series: registry.series("sim.scan.virtual_time_s"),
+        };
+        let stats = kernel.run(&mut driver);
+        SimRun {
+            outcome: driver.finish(),
+            series: driver.series,
+            events: kernel.take_trace(),
+            stats,
+            audit: driver.auditor,
+        }
+    }
+}
+
+/// The paper path: [`Scenario::default`] run, outcome only. Every
+/// figure of §VI comes from this call.
+///
+/// # Panics
+///
+/// Panics if `sim.scan_interval_s` is zero; [`Scenario::run`] reports
+/// the same condition as a typed error.
 #[must_use]
 pub fn simulate(
     sim: &SimConfig,
@@ -104,91 +232,19 @@ pub fn simulate(
     placer: &mut dyn PlacementAlgorithm,
     evictor: &mut dyn EvictionPolicy,
 ) -> SimOutcome {
-    simulate_impl(
-        sim,
-        cluster,
-        workload,
-        placer,
-        evictor,
-        &FaultPlan::none(),
-        None,
-        None,
-    )
+    assert!(sim.validate().is_ok(), "scan interval must be positive");
+    Scenario::default()
+        .drive(sim, cluster, workload, placer, evictor)
+        .outcome
 }
 
-/// Like [`simulate`], but consulting `faults` each scan: scheduled PM
-/// crashes evacuate their residents through the placer with bounded
-/// retry, migrations may transiently fail, and trace reads may return
-/// corrupted utilizations. With [`FaultPlan::none`] this is byte-identical
-/// to [`simulate`].
-#[must_use]
-pub fn simulate_faulty(
-    sim: &SimConfig,
-    cluster: Cluster,
-    workload: &Workload,
-    placer: &mut dyn PlacementAlgorithm,
-    evictor: &mut dyn EvictionPolicy,
-    faults: &FaultPlan,
-) -> SimOutcome {
-    simulate_impl(sim, cluster, workload, placer, evictor, faults, None, None)
-}
-
-/// [`simulate_faulty`] plus the unconditional invariant audit of
-/// [`simulate_with_audit`] — the entry point the fault proptests use to
-/// prove evacuations never corrupt the cluster.
-#[must_use]
-pub fn simulate_faulty_with_audit(
-    sim: &SimConfig,
-    cluster: Cluster,
-    workload: &Workload,
-    placer: &mut dyn PlacementAlgorithm,
-    evictor: &mut dyn EvictionPolicy,
-    faults: &FaultPlan,
-) -> (SimOutcome, AuditReport) {
-    let mut report = AuditReport::default();
-    let outcome = simulate_impl(
-        sim,
-        cluster,
-        workload,
-        placer,
-        evictor,
-        faults,
-        None,
-        Some(&mut report),
-    );
-    (outcome, report)
-}
-
-/// [`simulate_faulty`] plus the per-scan [`crate::TimeSeries`] of
-/// [`simulate_traced`] (including the fault columns).
-#[must_use]
-pub fn simulate_faulty_traced(
-    sim: &SimConfig,
-    cluster: Cluster,
-    workload: &Workload,
-    placer: &mut dyn PlacementAlgorithm,
-    evictor: &mut dyn EvictionPolicy,
-    faults: &FaultPlan,
-) -> (SimOutcome, crate::TimeSeries) {
-    let mut ts = crate::TimeSeries::new();
-    let outcome = simulate_impl(
-        sim,
-        cluster,
-        workload,
-        placer,
-        evictor,
-        faults,
-        Some(&mut ts),
-        None,
-    );
-    (outcome, ts)
-}
-
-/// Like [`simulate`], additionally running the full invariant audit
-/// ([`pagerankvm::audit::check_cluster`]) after the initial allocation and
-/// after every scan's migrations, and returning the accumulated
-/// [`AuditReport`]. Plain [`simulate`] runs the same checks debug-assert
-/// gated; this entry point makes them unconditional and observable.
+/// The paper path with [`Scenario::audit`] set. Kept with this exact
+/// signature for the `perfbench` sim-day workload, which calls it; new
+/// code uses [`Scenario::run`].
+///
+/// # Panics
+///
+/// Panics if `sim.scan_interval_s` is zero, like [`simulate`].
 #[must_use]
 pub fn simulate_with_audit(
     sim: &SimConfig,
@@ -197,84 +253,19 @@ pub fn simulate_with_audit(
     placer: &mut dyn PlacementAlgorithm,
     evictor: &mut dyn EvictionPolicy,
 ) -> (SimOutcome, AuditReport) {
-    let mut report = AuditReport::default();
-    let outcome = simulate_impl(
-        sim,
-        cluster,
-        workload,
-        placer,
-        evictor,
-        &FaultPlan::none(),
-        None,
-        Some(&mut report),
-    );
-    (outcome, report)
+    assert!(sim.validate().is_ok(), "scan interval must be positive");
+    let run = Scenario {
+        audit: true,
+        ..Scenario::default()
+    }
+    .drive(sim, cluster, workload, placer, evictor);
+    (run.outcome, run.audit.unwrap_or_default())
 }
 
-/// Like [`simulate`], additionally recording a per-scan
-/// [`crate::TimeSeries`] (active PMs, utilization, overloads, migrations,
-/// energy) for plotting or debugging.
-#[must_use]
-pub fn simulate_traced(
-    sim: &SimConfig,
-    cluster: Cluster,
-    workload: &Workload,
-    placer: &mut dyn PlacementAlgorithm,
-    evictor: &mut dyn EvictionPolicy,
-) -> (SimOutcome, crate::TimeSeries) {
-    let mut ts = crate::TimeSeries::new();
-    let outcome = simulate_impl(
-        sim,
-        cluster,
-        workload,
-        placer,
-        evictor,
-        &FaultPlan::none(),
-        Some(&mut ts),
-        None,
-    );
-    (outcome, ts)
-}
-
-/// [`simulate_faulty`] with DVBP-style churn: each placed VM draws a
-/// seeded lifetime from `model` and departs when it expires (a
-/// `VmDeparture` event on the kernel). Departures free capacity for the
-/// rest of the horizon; the paper path never schedules any, so paper
-/// numbers are untouched.
-///
-/// # Errors
-///
-/// [`SimConfigError::ZeroScanInterval`] when `sim.scan_interval_s == 0`.
-pub fn simulate_churn(
-    sim: &SimConfig,
-    cluster: Cluster,
-    workload: &Workload,
-    placer: &mut dyn PlacementAlgorithm,
-    evictor: &mut dyn EvictionPolicy,
-    faults: &FaultPlan,
-    model: &DepartureModel,
-) -> Result<SimOutcome, SimConfigError> {
-    let scans = sim.try_scans()?;
-    let (outcome, _, _) = run_kernel(
-        sim,
-        scans,
-        cluster,
-        workload,
-        placer,
-        evictor,
-        faults,
-        Some(model),
-        None,
-        None,
-        false,
-    );
-    Ok(outcome)
-}
-
-/// [`simulate_faulty`] with the kernel's event trace and dispatch totals
-/// attached: the determinism proofs (`tests/kernel.rs`) compare traces
-/// across runs, and the bench harness turns
-/// [`KernelStats::dispatched`] into an events/second cell.
+/// [`Scenario::run`] under `faults`, returning the outcome, the event
+/// trace and the kernel stats. Kept with this exact signature for the
+/// `perfbench` sim-day workload, which calls it; new code uses
+/// [`Scenario::run`].
 ///
 /// # Errors
 ///
@@ -287,10 +278,12 @@ pub fn simulate_recorded(
     evictor: &mut dyn EvictionPolicy,
     faults: &FaultPlan,
 ) -> Result<(SimOutcome, Vec<EventRecord>, KernelStats), SimConfigError> {
-    let scans = sim.try_scans()?;
-    Ok(run_kernel(
-        sim, scans, cluster, workload, placer, evictor, faults, None, None, None, true,
-    ))
+    Scenario {
+        faults: faults.clone(),
+        ..Scenario::default()
+    }
+    .run(sim, cluster, workload, placer, evictor)
+    .map(|run| (run.outcome, run.events, run.stats))
 }
 
 /// Run the audit step: accumulate into an explicit report when one was
@@ -457,9 +450,9 @@ struct ScanDriver<'a> {
     placer: &'a mut dyn PlacementAlgorithm,
     evictor: &'a mut dyn EvictionPolicy,
     clock: FaultClock<'a>,
-    departure_model: Option<&'a DepartureModel>,
-    recorder: Option<&'a mut crate::TimeSeries>,
-    auditor: Option<&'a mut AuditReport>,
+    departures: Option<DepartureModel>,
+    series: TimeSeries,
+    auditor: Option<AuditReport>,
     vm_demand: HashMap<VmId, (u64, Mhz, Trace)>,
     pending_evacs: Vec<PendingEvac>,
     totals: Totals,
@@ -498,8 +491,8 @@ impl ScanDriver<'_> {
         self.placer.order_batch(&mut specs);
         let traces = self.workload.draw_traces(specs.len());
         let lifetimes = self
-            .departure_model
-            .map(|m| self.workload.draw_lifetimes(specs.len(), m));
+            .departures
+            .map(|m| self.workload.draw_lifetimes(specs.len(), &m));
 
         for (idx, (spec, trace)) in specs.into_iter().zip(traces).enumerate() {
             match self.placer.choose(&self.cluster, &spec, &|_| false) {
@@ -525,11 +518,7 @@ impl ScanDriver<'_> {
                 None => self.totals.rejected += 1,
             }
         }
-        audit_step(
-            &self.cluster,
-            "initial placement",
-            self.auditor.as_deref_mut(),
-        );
+        audit_step(&self.cluster, "initial placement", self.auditor.as_mut());
         self.pms_used_initial = self.cluster.active_pm_count();
         self.max_active = self.pms_used_initial;
         drop(placement_span);
@@ -649,7 +638,7 @@ impl ScanDriver<'_> {
         }
         self.pending_evacs = still_pending;
         self.scan_offline += self.pending_evacs.len();
-        audit_step(&self.cluster, "fault recovery", self.auditor.as_deref_mut());
+        audit_step(&self.cluster, "fault recovery", self.auditor.as_mut());
     }
 
     /// A churn-model VM leaves: free its capacity (or drop it from the
@@ -857,7 +846,7 @@ impl ScanDriver<'_> {
             }
         }
         *max_active = (*max_active).max(cluster.active_pm_count());
-        audit_step(cluster, "scan migrations", auditor.as_deref_mut());
+        audit_step(cluster, "scan migrations", auditor.as_mut());
     }
 
     /// Fold the staged scan into the run totals, emit the per-scan
@@ -894,20 +883,18 @@ impl ScanDriver<'_> {
                 totals.failed_migrations - last.failed_migrations,
             )
             .emit();
-        if let Some(ts) = self.recorder.as_deref_mut() {
-            ts.push(crate::ScanSample {
-                scan: t,
-                active_pms: staged.active,
-                mean_utilization,
-                overloaded_pms: staged.overloaded,
-                migrations: totals.migrations - last.migrations,
-                slo_violations: staged.slo,
-                energy_wh: staged.energy_wh,
-                pm_failures: totals.pm_failures - last.pm_failures,
-                evacuations: totals.evacuations - last.evacuations,
-                failed_migrations: totals.failed_migrations - last.failed_migrations,
-            });
-        }
+        self.series.push(ScanSample {
+            scan: t,
+            active_pms: staged.active,
+            mean_utilization,
+            overloaded_pms: staged.overloaded,
+            migrations: totals.migrations - last.migrations,
+            slo_violations: staged.slo,
+            energy_wh: staged.energy_wh,
+            pm_failures: totals.pm_failures - last.pm_failures,
+            evacuations: totals.evacuations - last.evacuations,
+            failed_migrations: totals.failed_migrations - last.failed_migrations,
+        });
         if let Some(started) = self.scan_started.take() {
             self.scan_wall_series
                 .push(started.elapsed().as_secs_f64() * 1e3);
@@ -920,7 +907,7 @@ impl ScanDriver<'_> {
     }
 
     /// Assemble the outcome after the queue drains.
-    fn finish(self) -> SimOutcome {
+    fn finish(&self) -> SimOutcome {
         let totals = self.totals;
         let outcome = SimOutcome {
             pms_used: self.cluster.ever_used_count(),
@@ -967,79 +954,6 @@ impl ScanDriver<'_> {
             .emit();
         outcome
     }
-}
-
-/// Build the driver, load the compatibility scenario, run the kernel to
-/// quiescence, and assemble the outcome (plus the event trace when
-/// `record_events`).
-#[allow(clippy::too_many_arguments)]
-fn run_kernel(
-    sim: &SimConfig,
-    scans: usize,
-    cluster: Cluster,
-    workload: &Workload,
-    placer: &mut dyn PlacementAlgorithm,
-    evictor: &mut dyn EvictionPolicy,
-    faults: &FaultPlan,
-    departure_model: Option<&DepartureModel>,
-    recorder: Option<&mut crate::TimeSeries>,
-    auditor: Option<&mut AuditReport>,
-    record_events: bool,
-) -> (SimOutcome, Vec<EventRecord>, KernelStats) {
-    let mut kernel = if record_events {
-        Kernel::recording()
-    } else {
-        Kernel::new()
-    };
-    schedule_compat(&mut kernel, sim, scans, faults);
-    // Per-scan profile series: wall time paired with the scan's virtual
-    // time, so a profiling run can line wall-clock cost up against the
-    // simulated clock. Handles are resolved once, outside the run.
-    let registry = prvm_obs::Registry::global();
-    let mut driver = ScanDriver {
-        sim,
-        scans,
-        cluster,
-        workload,
-        placer,
-        evictor,
-        clock: FaultClock::new(faults),
-        departure_model,
-        recorder,
-        auditor,
-        vm_demand: HashMap::new(),
-        pending_evacs: Vec::new(),
-        totals: Totals::default(),
-        last: Totals::default(),
-        staged: StagedScan::default(),
-        scan_offline: 0,
-        pms_used_initial: 0,
-        max_active: 0,
-        scan_started: None,
-        scan_wall_series: registry.series("sim.scan.wall_ms"),
-        scan_virtual_series: registry.series("sim.scan.virtual_time_s"),
-    };
-    let stats = kernel.run(&mut driver);
-    let trace = kernel.take_trace();
-    (driver.finish(), trace, stats)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn simulate_impl(
-    sim: &SimConfig,
-    cluster: Cluster,
-    workload: &Workload,
-    placer: &mut dyn PlacementAlgorithm,
-    evictor: &mut dyn EvictionPolicy,
-    faults: &FaultPlan,
-    recorder: Option<&mut crate::TimeSeries>,
-    auditor: Option<&mut AuditReport>,
-) -> SimOutcome {
-    let scans = sim.scans();
-    let (outcome, _, _) = run_kernel(
-        sim, scans, cluster, workload, placer, evictor, faults, None, recorder, auditor, false,
-    );
-    outcome
 }
 
 #[cfg(test)]
@@ -1174,35 +1088,6 @@ mod tests {
         assert!(bursty.energy_kwh >= calm.energy_kwh);
     }
 
-    #[test]
-    fn traced_run_matches_untraced_and_accounts_consistently() {
-        let (sim, wl) = small_cfg();
-        let workload = Workload::generate(&wl, sim.scans(), 8);
-        let plain = simulate(
-            &sim,
-            build_cluster(&wl),
-            &workload,
-            &mut FirstFit::new(),
-            &mut MinimumMigrationTime::new(),
-        );
-        let (traced, ts) = simulate_traced(
-            &sim,
-            build_cluster(&wl),
-            &workload,
-            &mut FirstFit::new(),
-            &mut MinimumMigrationTime::new(),
-        );
-        assert_eq!(plain, traced, "recording must not change the run");
-        assert_eq!(ts.len(), sim.scans());
-        assert_eq!(ts.total_migrations(), traced.migrations);
-        let slo: usize = ts.samples().iter().map(|s| s.slo_violations).sum();
-        let active: usize = ts.samples().iter().map(|s| s.active_pms).sum();
-        let pct = 100.0 * slo as f64 / active as f64;
-        assert!((pct - traced.slo_violation_pct).abs() < 1e-9);
-        let energy: f64 = ts.samples().iter().map(|s| s.energy_wh).sum();
-        assert!((energy / 1000.0 - traced.energy_kwh).abs() < 1e-9);
-    }
-
     /// Every scan pushes one (wall ms, virtual s) pair into the global
     /// registry's profile series. Other tests in this process also run
     /// scans concurrently, so only growth is asserted, not exact
@@ -1268,17 +1153,21 @@ mod tests {
             mean_lifetime_s: 2 * 3600,
             min_lifetime_s: 300,
         };
+        let churn = Scenario {
+            departures: Some(model),
+            ..Scenario::default()
+        };
         let run = || {
-            simulate_churn(
-                &sim,
-                build_cluster(&wl),
-                &workload,
-                &mut FirstFit::new(),
-                &mut MinimumMigrationTime::new(),
-                &FaultPlan::none(),
-                &model,
-            )
-            .expect("valid config")
+            churn
+                .run(
+                    &sim,
+                    build_cluster(&wl),
+                    &workload,
+                    &mut FirstFit::new(),
+                    &mut MinimumMigrationTime::new(),
+                )
+                .expect("valid config")
+                .outcome
         };
         let a = run();
         let b = run();

@@ -43,8 +43,8 @@ pub trait EventHandler<E: Event> {
     fn handle(&mut self, now_s: u64, event: E, kernel: &mut Kernel<E>);
 }
 
-/// One line of the (opt-in) event trace: the dispatch order proof the
-/// determinism proptests compare across runs.
+/// One line of the event trace every kernel records: the dispatch order
+/// proof the determinism proptests compare across runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventRecord {
     /// Virtual dispatch time, seconds.
@@ -113,7 +113,7 @@ pub struct Kernel<E> {
     /// order; flushed to `sim.events.<label>` counters when the queue
     /// drains.
     per_label: Vec<(&'static str, u64)>,
-    trace: Option<Vec<EventRecord>>,
+    trace: Vec<EventRecord>,
 }
 
 impl<E: Event> Default for Kernel<E> {
@@ -132,17 +132,8 @@ impl<E: Event> Kernel<E> {
             next_seq: 0,
             stats: KernelStats::default(),
             per_label: Vec::new(),
-            trace: None,
+            trace: Vec::new(),
         }
-    }
-
-    /// Like [`Kernel::new`], but recording every dispatch into an
-    /// [`EventRecord`] trace retrievable via [`Kernel::take_trace`].
-    #[must_use]
-    pub fn recording() -> Self {
-        let mut kernel = Self::new();
-        kernel.trace = Some(Vec::new());
-        kernel
     }
 
     /// Current virtual time, seconds. Monotone across dispatches.
@@ -197,14 +188,12 @@ impl<E: Event> Kernel<E> {
                 Some((_, n)) => *n += 1,
                 None => self.per_label.push((label, 1)),
             }
-            if let Some(trace) = self.trace.as_mut() {
-                trace.push(EventRecord {
-                    time_s: next.time_s,
-                    class: next.class,
-                    seq: next.seq,
-                    label,
-                });
-            }
+            self.trace.push(EventRecord {
+                time_s: next.time_s,
+                class: next.class,
+                seq: next.seq,
+                label,
+            });
             if profiled {
                 // Observation only: the stamp never feeds back into
                 // virtual time or handler state.
@@ -222,10 +211,10 @@ impl<E: Event> Kernel<E> {
         self.stats
     }
 
-    /// The dispatch trace, if this kernel was built with
-    /// [`Kernel::recording`]; empties the buffer.
+    /// Every dispatch so far, one [`EventRecord`] each, in dispatch
+    /// order; empties the buffer.
     pub fn take_trace(&mut self) -> Vec<EventRecord> {
-        self.trace.take().unwrap_or_default()
+        std::mem::take(&mut self.trace)
     }
 
     /// Totals so far (final after [`Kernel::run`] returns).
@@ -280,7 +269,7 @@ mod tests {
 
     #[test]
     fn dispatch_order_is_time_then_class_then_seq() {
-        let mut kernel = Kernel::recording();
+        let mut kernel = Kernel::new();
         kernel.schedule(20, Tick(0));
         kernel.schedule(10, Tick(5));
         kernel.schedule(10, Tick(1));
@@ -338,7 +327,7 @@ mod tests {
                 }
             }
         }
-        let mut kernel = Kernel::recording();
+        let mut kernel = Kernel::new();
         kernel.schedule(50, Tick(0));
         kernel.run(&mut PastScheduler { fired: false });
         let trace = kernel.take_trace();
@@ -349,7 +338,7 @@ mod tests {
     #[test]
     fn same_seed_schedule_gives_identical_traces() {
         let build = || {
-            let mut kernel = Kernel::recording();
+            let mut kernel = Kernel::new();
             for i in 0..32u64 {
                 // A fixed pseudo-schedule: varied times and classes.
                 kernel.schedule(i * 31 % 97, Tick((i % 7) as u8));

@@ -9,12 +9,16 @@
 //! the paper's four metrics: PMs used, energy (Table III), migrations and
 //! SLO violations.
 //!
-//! Since the kernel refactor the loop is expressed as events on a seeded
-//! virtual-time discrete-event [`kernel`] (arrivals, crashes, recoveries,
-//! evacuation sweeps, departures, scans, samples) — bit-identical to the
-//! historical scan loop, but extensible: [`simulate_churn`] adds
-//! mid-horizon VM departures, and [`multi`] runs N placement schedulers
-//! against one eventually-consistent placement store (DESIGN.md §14).
+//! The loop is expressed as events on a seeded virtual-time
+//! discrete-event [`kernel`] (arrivals, crashes, recoveries, evacuation
+//! sweeps, departures, scans, samples) — bit-identical to the historical
+//! scan loop, but extensible. [`Scenario::run`] is the one entry point:
+//! a [`Scenario`] sets the fault plan, a churn [`DepartureModel`] and the
+//! invariant audit, and the returned [`SimRun`] carries the outcome, the
+//! per-scan [`TimeSeries`], the event trace and the kernel stats.
+//! [`simulate`] is the paper-path shorthand. [`multi`] runs N placement
+//! schedulers against one eventually-consistent placement store
+//! (DESIGN.md §14).
 //!
 //! ```
 //! use prvm_sim::{simulate, SimConfig, Workload, WorkloadConfig, build_cluster};
@@ -43,10 +47,7 @@ pub mod workload;
 
 pub use config::{MultiConfig, SimConfig, SimConfigError, WorkloadConfig};
 pub use energy::PowerCurve;
-pub use engine::{
-    simulate, simulate_churn, simulate_faulty, simulate_faulty_traced, simulate_faulty_with_audit,
-    simulate_recorded, simulate_traced, simulate_with_audit, SimOutcome,
-};
+pub use engine::{simulate, simulate_recorded, simulate_with_audit, Scenario, SimOutcome, SimRun};
 pub use kernel::{Event, EventHandler, EventRecord, Kernel, KernelStats};
 pub use multi::{simulate_multi, MultiOutcome, SchedulerReport};
 pub use prvm_faults::{FaultClock, FaultPlan};

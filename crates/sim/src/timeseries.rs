@@ -36,7 +36,7 @@ pub struct TimeSeries {
 }
 
 impl TimeSeries {
-    /// An empty series (filled by [`crate::simulate_traced`]).
+    /// An empty series ([`crate::Scenario::run`] fills one per run).
     #[must_use]
     pub fn new() -> Self {
         Self::default()

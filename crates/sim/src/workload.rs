@@ -14,8 +14,8 @@ const LIBRARY_SIZE: usize = 400;
 /// DVBP-style churn: VM lifetimes drawn from a shifted exponential.
 /// The paper's experiments keep every VM for the whole horizon; dynamic
 /// bin-packing traces (and real clouds) do not, so
-/// [`crate::simulate_churn`] lets VMs depart mid-run. Off by default —
-/// no entry point schedules departures unless handed a model.
+/// [`crate::Scenario::departures`] lets VMs depart mid-run. Off by
+/// default — no run schedules departures unless handed a model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DepartureModel {
     /// Mean VM lifetime, seconds (exponential above the minimum).

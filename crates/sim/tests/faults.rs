@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 use prvm_baselines::{FirstFit, MinimumMigrationTime};
 use prvm_sim::{
-    build_cluster, simulate, simulate_faulty, simulate_faulty_with_audit, FaultPlan, SimConfig,
-    SimOutcome, Workload, WorkloadConfig,
+    build_cluster, simulate, FaultPlan, Scenario, SimConfig, SimOutcome, SimRun, Workload,
+    WorkloadConfig,
 };
 use prvm_traces::TraceKind;
 
@@ -25,16 +25,25 @@ fn reference_setup() -> (SimConfig, WorkloadConfig) {
     )
 }
 
-fn run_with_plan(sim: &SimConfig, wl: &WorkloadConfig, seed: u64, plan: &FaultPlan) -> SimOutcome {
+fn run_scenario(sim: &SimConfig, wl: &WorkloadConfig, seed: u64, scenario: &Scenario) -> SimRun {
     let workload = Workload::generate(wl, sim.scans(), seed);
-    simulate_faulty(
-        sim,
-        build_cluster(wl),
-        &workload,
-        &mut FirstFit::new(),
-        &mut MinimumMigrationTime::new(),
-        plan,
-    )
+    scenario
+        .run(
+            sim,
+            build_cluster(wl),
+            &workload,
+            &mut FirstFit::new(),
+            &mut MinimumMigrationTime::new(),
+        )
+        .expect("valid config")
+}
+
+fn run_with_plan(sim: &SimConfig, wl: &WorkloadConfig, seed: u64, plan: &FaultPlan) -> SimOutcome {
+    let scenario = Scenario {
+        faults: plan.clone(),
+        ..Scenario::default()
+    };
+    run_scenario(sim, wl, seed, &scenario).outcome
 }
 
 /// Golden zero-drift check: with no fault plan, the engine reproduces the
@@ -197,15 +206,13 @@ proptest! {
             plan = plan.with_pm_crash(second_pm, second_at, None);
         }
 
-        let workload = Workload::generate(&wl, sim.scans(), seed);
-        let (a, report) = simulate_faulty_with_audit(
-            &sim,
-            build_cluster(&wl),
-            &workload,
-            &mut FirstFit::new(),
-            &mut MinimumMigrationTime::new(),
-            &plan,
-        );
+        let audited = Scenario {
+            faults: plan.clone(),
+            departures: None,
+            audit: true,
+        };
+        let SimRun { outcome: a, audit, .. } = run_scenario(&sim, &wl, seed, &audited);
+        let report = audit.expect("audit requested");
         prop_assert!(report.is_clean(), "{report}");
         prop_assert_eq!(
             a.migration_attempts,

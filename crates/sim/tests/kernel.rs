@@ -10,8 +10,8 @@
 use proptest::prelude::*;
 use prvm_baselines::{FirstFit, MinimumMigrationTime};
 use prvm_sim::{
-    build_cluster, simulate_faulty, simulate_multi, simulate_recorded, FaultPlan, MultiConfig,
-    SimConfig, Workload, WorkloadConfig,
+    build_cluster, simulate_multi, FaultPlan, MultiConfig, Scenario, SimConfig, SimRun, Workload,
+    WorkloadConfig,
 };
 use prvm_traces::TraceKind;
 
@@ -155,14 +155,19 @@ fn kernel_reproduces_scan_loop_goldens_bit_identically() {
     for (name, golden) in GOLDENS {
         let plan = FaultPlan::preset(name, sim.scans(), 77).expect("known preset");
         let workload = Workload::generate(&wl, sim.scans(), 2024);
-        let o = simulate_faulty(
+        let o = Scenario {
+            faults: plan,
+            ..Scenario::default()
+        }
+        .run(
             &sim,
             build_cluster(&wl),
             &workload,
             &mut FirstFit::new(),
             &mut MinimumMigrationTime::new(),
-            &plan,
-        );
+        )
+        .expect("valid config")
+        .outcome;
         assert_eq!(o.pms_used, golden.pms_used, "{name}: pms_used");
         assert_eq!(
             o.pms_used_initial, golden.pms_used_initial,
@@ -214,51 +219,98 @@ fn kernel_reproduces_scan_loop_goldens_bit_identically() {
     }
 }
 
-/// `simulate_recorded` returns the same outcome as `simulate_faulty`
-/// plus a non-empty, totally-ordered event trace whose dispatch counts
-/// reconcile with the kernel stats.
+/// One run per preset, audited and not. The audit changes nothing and
+/// finds nothing; the always-recorded series reconciles with the
+/// outcome; the event trace is totally ordered and reconciles with the
+/// kernel stats.
+/// `all` exercises every event class. `none` (the paper path) and
+/// `trace-noise` (non-zero SLO) crash no PM, so no VM is ever offline
+/// and the series' SLO ratio is exactly the outcome's.
 #[test]
-fn recorded_run_matches_and_trace_is_totally_ordered() {
+fn run_records_consistently_and_audit_changes_nothing() {
     let (sim, wl) = reference_setup();
-    let plan = FaultPlan::preset("all", sim.scans(), 77).expect("known preset");
     let workload = Workload::generate(&wl, sim.scans(), 2024);
-    let plain = simulate_faulty(
-        &sim,
-        build_cluster(&wl),
-        &workload,
-        &mut FirstFit::new(),
-        &mut MinimumMigrationTime::new(),
-        &plan,
-    );
-    let (recorded, trace, stats) = simulate_recorded(
-        &sim,
-        build_cluster(&wl),
-        &workload,
-        &mut FirstFit::new(),
-        &mut MinimumMigrationTime::new(),
-        &plan,
-    )
-    .expect("valid config");
-    assert_eq!(plain, recorded, "recording must not change the run");
-    assert_eq!(trace.len() as u64, stats.dispatched);
-    assert_eq!(
-        stats.scheduled, stats.dispatched,
-        "compat scenario schedules upfront"
-    );
-    assert!(stats.end_time_s < sim.horizon_s);
-    // Total order: (time, class, seq) strictly increases record to record.
-    for pair in trace.windows(2) {
-        let (a, b) = (&pair[0], &pair[1]);
-        assert!(
-            (a.time_s, a.class, a.seq) < (b.time_s, b.class, b.seq),
-            "dispatch order violated: {a:?} then {b:?}"
+    for name in ["all", "none", "trace-noise"] {
+        let plan = FaultPlan::preset(name, sim.scans(), 77).expect("known preset");
+        let run = |audit: bool| -> SimRun {
+            Scenario {
+                faults: plan.clone(),
+                departures: None,
+                audit,
+            }
+            .run(
+                &sim,
+                build_cluster(&wl),
+                &workload,
+                &mut FirstFit::new(),
+                &mut MinimumMigrationTime::new(),
+            )
+            .expect("valid config")
+        };
+        let plain = run(false);
+        let audited = run(true);
+        assert_eq!(
+            plain.outcome, audited.outcome,
+            "{name}: auditing must not change the run"
         );
+        assert!(plain.audit.is_none(), "{name}: no audit unless requested");
+        let report = audited.audit.expect("audit requested");
+        assert!(report.is_clean(), "{name}: {report}");
+        assert!(
+            report.capacity_checks > 0,
+            "{name}: capacity family exercised"
+        );
+
+        // The series: one row per scan, totals reconcile with the outcome.
+        let (o, ts) = (&plain.outcome, &plain.series);
+        assert_eq!(ts.len(), sim.scans(), "{name}");
+        assert_eq!(ts.total_migrations(), o.migrations, "{name}");
+        let energy: f64 = ts.samples().iter().map(|s| s.energy_wh).sum();
+        assert!((energy / 1000.0 - o.energy_kwh).abs() < 1e-9, "{name}");
+        let failures: usize = ts.samples().iter().map(|s| s.pm_failures).sum();
+        assert_eq!(failures, o.pm_failures, "{name}");
+        let evacuations: usize = ts.samples().iter().map(|s| s.evacuations).sum();
+        assert_eq!(evacuations, o.evacuations, "{name}");
+        // The series counts active PMs only. The outcome also counts each
+        // offline VM (awaiting evacuation) as one violating sample, which
+        // can only raise the ratio; with nothing offline they agree.
+        let slo: usize = ts.samples().iter().map(|s| s.slo_violations).sum();
+        let active: usize = ts.samples().iter().map(|s| s.active_pms).sum();
+        let pct = 100.0 * slo as f64 / active as f64;
+        if o.pm_failures == 0 {
+            assert!(
+                (pct - o.slo_violation_pct).abs() < 1e-9,
+                "{name}: {pct} vs {o:?}"
+            );
+        } else {
+            assert!(pct <= o.slo_violation_pct, "{name}: {pct} vs {o:?}");
+        }
+
+        // The event trace and the kernel stats.
+        let (trace, stats) = (&plain.events, plain.stats);
+        assert!(!trace.is_empty(), "{name}");
+        assert_eq!(trace.len() as u64, stats.dispatched, "{name}");
+        assert_eq!(
+            stats.scheduled, stats.dispatched,
+            "{name}: compat scenario schedules upfront"
+        );
+        assert!(stats.end_time_s < sim.horizon_s, "{name}");
+        // Total order: (time, class, seq) strictly increases record to record.
+        for pair in trace.windows(2) {
+            let (a, b) = (&pair[0], &pair[1]);
+            assert!(
+                (a.time_s, a.class, a.seq) < (b.time_s, b.class, b.seq),
+                "{name}: dispatch order violated: {a:?} then {b:?}"
+            );
+        }
+        // Scans and samples both fire exactly once per interval.
+        let scans = trace.iter().filter(|r| r.label == "scan").count();
+        let samples = trace.iter().filter(|r| r.label == "sample").count();
+        assert_eq!(scans, sim.scans(), "{name}");
+        assert_eq!(samples, sim.scans(), "{name}");
+        assert_eq!(audited.events, plain.events, "{name}");
+        assert_eq!(audited.stats, plain.stats, "{name}");
     }
-    // Scans and samples both fire exactly once per interval.
-    let scans = trace.iter().filter(|r| r.label == "scan").count();
-    let samples = trace.iter().filter(|r| r.label == "sample").count();
-    assert_eq!(scans, sim.scans());
-    assert_eq!(samples, sim.scans());
 }
 
 proptest! {
@@ -274,21 +326,23 @@ proptest! {
         let plan = FaultPlan::preset(name, sim.scans(), 77).expect("known preset");
         let run = |s: u64| {
             let workload = Workload::generate(&wl, sim.scans(), s);
-            simulate_recorded(
+            Scenario {
+                faults: plan.clone(),
+                ..Scenario::default()
+            }
+            .run(
                 &sim,
                 build_cluster(&wl),
                 &workload,
                 &mut FirstFit::new(),
                 &mut MinimumMigrationTime::new(),
-                &plan,
             )
             .expect("valid config")
         };
-        let (o1, t1, s1) = run(seed);
-        let (o2, t2, s2) = run(seed);
-        prop_assert_eq!(o1, o2);
-        prop_assert_eq!(t1, t2);
-        prop_assert_eq!(s1, s2);
+        let (r1, r2) = (run(seed), run(seed));
+        prop_assert_eq!(r1.outcome, r2.outcome);
+        prop_assert_eq!(r1.events, r2.events);
+        prop_assert_eq!(r1.stats, r2.stats);
     }
 
     /// Multi-scheduler runs are deterministic at any scheduler count,

@@ -8,7 +8,7 @@
 //! tests would interleave their events into the log.
 
 use prvm_baselines::{FirstFit, MinimumMigrationTime};
-use prvm_sim::{build_cluster, simulate_faulty, FaultPlan, SimConfig, Workload, WorkloadConfig};
+use prvm_sim::{build_cluster, FaultPlan, Scenario, SimConfig, Workload, WorkloadConfig};
 use prvm_traces::TraceKind;
 
 #[test]
@@ -38,14 +38,19 @@ fn fault_counters_reconcile_with_event_stream() {
         .with_migration_failures(0.4)
         .seeded(42);
     let workload = Workload::generate(&wl, sim.scans(), 42);
-    let outcome = simulate_faulty(
+    let outcome = Scenario {
+        faults: plan,
+        ..Scenario::default()
+    }
+    .run(
         &sim,
         build_cluster(&wl),
         &workload,
         &mut FirstFit::new(),
         &mut MinimumMigrationTime::new(),
-        &plan,
-    );
+    )
+    .expect("valid config")
+    .outcome;
     prvm_obs::flush().expect("flush sink");
     // Disable the sink before reading so nothing else writes.
     prvm_obs::init(prvm_obs::ObsConfig::default()).expect("reset sink");

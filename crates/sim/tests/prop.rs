@@ -6,8 +6,7 @@ use proptest::prelude::*;
 use prvm_baselines::{FirstFit, MinimumMigrationTime};
 use prvm_model::{catalog, Assignment, Cluster, PlacementAlgorithm, VmId};
 use prvm_sim::{
-    build_cluster, simulate, simulate_traced, simulate_with_audit, ScanSample, SimConfig,
-    TimeSeries, Workload, WorkloadConfig,
+    build_cluster, simulate, ScanSample, Scenario, SimConfig, TimeSeries, Workload, WorkloadConfig,
 };
 use prvm_traces::TraceKind;
 
@@ -79,8 +78,8 @@ proptest! {
         prop_assert!(o.overload_events <= (hours * 12) as usize);
     }
 
-    /// Runs are reproducible and the traced variant never changes the
-    /// outcome.
+    /// Runs are reproducible, the paper-path shorthand is the default
+    /// scenario's outcome, and the recorded series matches it.
     #[test]
     fn traced_equals_untraced(n_vms in 1usize..30, seed in 0u64..500) {
         let sim = SimConfig {
@@ -101,13 +100,16 @@ proptest! {
             &mut FirstFit::new(),
             &mut MinimumMigrationTime::new(),
         );
-        let (b, ts) = simulate_traced(
-            &sim,
-            build_cluster(&wl),
-            &workload,
-            &mut FirstFit::new(),
-            &mut MinimumMigrationTime::new(),
-        );
+        let run = Scenario::default()
+            .run(
+                &sim,
+                build_cluster(&wl),
+                &workload,
+                &mut FirstFit::new(),
+                &mut MinimumMigrationTime::new(),
+            )
+            .expect("valid config");
+        let (b, ts) = (run.outcome, run.series);
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(ts.len(), sim.scans());
         prop_assert_eq!(ts.total_migrations(), b.migrations);
@@ -165,13 +167,21 @@ proptest! {
             c3_pms: 2,
         };
         let workload = Workload::generate(&wl, sim.scans(), seed);
-        let (_, report) = simulate_with_audit(
-            &sim,
-            build_cluster(&wl),
-            &workload,
-            &mut FirstFit::new(),
-            &mut MinimumMigrationTime::new(),
-        );
+        let audited = Scenario {
+            audit: true,
+            ..Scenario::default()
+        };
+        let report = audited
+            .run(
+                &sim,
+                build_cluster(&wl),
+                &workload,
+                &mut FirstFit::new(),
+                &mut MinimumMigrationTime::new(),
+            )
+            .expect("valid config")
+            .audit
+            .expect("audit requested");
         prop_assert!(report.is_clean(), "{report}");
         prop_assert!(report.capacity_checks > 0, "capacity family exercised");
         prop_assert!(report.anti_collocation_checks > 0, "anti-collocation family exercised");

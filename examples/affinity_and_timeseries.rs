@@ -8,7 +8,7 @@
 
 use pagerankvm::{GraphLimits, PageRankConfig, PageRankVmPlacer, ScoreBook};
 use prvm_model::{catalog, place_batch_with_rules, AffinityRules, Cluster, Quantizer};
-use prvm_sim::{build_cluster, simulate_traced, Algorithm, SimConfig, Workload, WorkloadConfig};
+use prvm_sim::{build_cluster, Algorithm, Scenario, SimConfig, Workload, WorkloadConfig};
 use prvm_traces::TraceKind;
 use std::error::Error;
 use std::sync::Arc;
@@ -56,8 +56,9 @@ fn main() -> Result<(), Box<dyn Error>> {
     let workload = Workload::generate(&wl, sim.scans(), 3);
     let sim_book = prvm_sim::ec2_score_book()?;
     let (mut p, mut e) = Algorithm::PageRankVm.build(&sim_book, 3);
-    let (outcome, ts) =
-        simulate_traced(&sim, build_cluster(&wl), &workload, p.as_mut(), e.as_mut());
+    let run =
+        Scenario::default().run(&sim, build_cluster(&wl), &workload, p.as_mut(), e.as_mut())?;
+    let (outcome, ts) = (run.outcome, run.series);
 
     println!(
         "\n6 h simulation: {} scans recorded, {} migrations, peak mean utilization at scan {:?}",

@@ -5,13 +5,15 @@
 //!
 //! Thread counts change **wall-clock only**: the deterministic pool
 //! contract (DESIGN.md §10) guarantees bit-identical results at every
-//! worker count, and the harness re-checks that cheaply by comparing
-//! placement outcomes across the thread list. Reported speedups are
+//! worker count, and the harness re-checks that across the thread list
+//! (graph node/edge counts, PageRank iterations and score bits, and
+//! placement outcomes). Each stage sets the width with
+//! [`prvm_par::set_global_threads`]. Reported speedups are
 //! relative to the first (smallest) thread count in `--threads`, which
 //! defaults to 1.
 
 use pagerankvm::{
-    pagerank_with_pool, GraphLimits, PageRankConfig, PageRankVmPlacer, Pool, ProfileGraph,
+    pagerank, GraphLimits, PageRankConfig, PageRankResult, PageRankVmPlacer, ProfileGraph,
     ProfileSpace, ProfileVm, ScoreBook,
 };
 use prvm_model::{catalog, place_batch, Cluster, Quantizer, VmSpec};
@@ -114,6 +116,9 @@ impl PerfArgs {
                 .collect::<Result<_, _>>()?;
             if list.is_empty() || list.contains(&0) {
                 return Err(format!("counts must be positive; {usage}"));
+            }
+            if (1..list.len()).any(|i| list[..i].contains(&list[i])) {
+                return Err(format!("counts must be distinct; {usage}"));
             }
             Ok(list)
         };
@@ -249,10 +254,7 @@ impl PerfReport {
             if !(row.speedup_vs_1t.is_finite() && row.speedup_vs_1t > 0.0) {
                 return Err(at("speedup_vs_1t must be finite and positive"));
             }
-            let graph_stage = matches!(
-                row.stage.as_str(),
-                "graph_build" | "pagerank" | "full_rebuild" | "incremental"
-            );
+            let graph_stage = is_graph_stage(&row.stage);
             if graph_stage && row.graph_nodes == 0 {
                 return Err(at("graph stages must record node counts"));
             }
@@ -263,6 +265,33 @@ impl PerfReport {
         for stage in STAGES {
             if !self.rows.iter().any(|r| r.stage == stage) {
                 return Err(format!("stage {stage:?} missing from report"));
+            }
+        }
+        // The sweep is a full matrix: exactly one row per (graph stage,
+        // width) and per (placement stage, VM count, width).
+        let mut vm_counts: Vec<usize> =
+            self.rows.iter().map(|r| r.vms).filter(|&n| n > 0).collect();
+        vm_counts.sort_unstable();
+        vm_counts.dedup();
+        for stage in STAGES {
+            let stage_vms: &[usize] = if is_graph_stage(stage) {
+                &[0]
+            } else {
+                &vm_counts
+            };
+            for &vms in stage_vms {
+                for &threads in &self.thread_counts {
+                    let rows = self
+                        .rows
+                        .iter()
+                        .filter(|r| r.stage == stage && r.vms == vms && r.threads == threads)
+                        .count();
+                    if rows != 1 {
+                        return Err(format!(
+                            "{rows} rows for {stage} vms={vms} threads={threads}; want exactly 1"
+                        ));
+                    }
+                }
             }
         }
         Ok(())
@@ -292,6 +321,14 @@ impl PerfReport {
         report.validate()?;
         Ok(report)
     }
+}
+
+/// Graph/PageRank stages are VM-count independent (`vms` is 0).
+fn is_graph_stage(stage: &str) -> bool {
+    matches!(
+        stage,
+        "graph_build" | "pagerank" | "full_rebuild" | "incremental"
+    )
 }
 
 /// Medians below this floor are clamped before computing gate ratios:
@@ -394,8 +431,8 @@ fn m3_inputs(quantizer: &Quantizer) -> (ProfileSpace, Vec<ProfileVm>) {
 /// new name) — the common "new instance generation" catalog event the
 /// incremental engine is built for. Its expansions all land on
 /// profiles the base graph already numbers, so the cached-replay path
-/// answers everything and the warm-started PageRank re-converges
-/// immediately; structural deltas that reshape the graph fall closer
+/// answers everything and the warm-started PageRank re-converges in
+/// 2–3 sweeps; structural deltas that reshape the graph fall closer
 /// to full-rebuild cost (see EXPERIMENTS.md).
 fn catalog_delta() -> prvm_model::VmSpec {
     prvm_model::VmSpec::new(
@@ -456,81 +493,48 @@ fn ms(d: std::time::Duration) -> f64 {
 pub fn run(args: &PerfArgs) -> Result<PerfReport, String> {
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let baseline_threads = *args.threads.first().ok_or("--threads must be non-empty")?;
-    let mut rows: Vec<StageRow> = Vec::new();
-    let mut push = |stage: &str,
-                    vms: usize,
-                    threads: usize,
-                    median_ms: f64,
-                    p95_ms: f64,
-                    baseline_ms: f64,
-                    nodes: usize,
-                    edges: usize| {
-        let speedup = if median_ms > 0.0 {
-            baseline_ms / median_ms
-        } else {
-            1.0
-        };
-        eprintln!(
-            "[bench] {stage:<11} vms={vms:<5} threads={threads} \
-             median={median_ms:9.2}ms p95={p95_ms:9.2}ms speedup={speedup:5.2}x"
-        );
-        rows.push(StageRow {
-            stage: stage.to_string(),
-            vms,
-            threads,
-            median_ms,
-            p95_ms,
-            speedup_vs_1t: speedup,
-            graph_nodes: nodes,
-            graph_edges: edges,
-        });
+    let mut sweep = Sweep {
+        baseline_threads,
+        rows: Vec::new(),
     };
-
     let (space, vm_types) = m3_inputs(&args.quantizer);
 
-    // Stage 1: profile-graph construction (m3 space, EC2 VM set).
-    let mut baseline_ms = 0.0;
+    // Stage 1: profile-graph construction (m3 space, EC2 VM set). The
+    // graph must have the same shape at every width.
     let mut reference_graph: Option<ProfileGraph> = None;
     for &threads in &args.threads {
-        let pool = Pool::new(threads);
+        prvm_par::set_global_threads(threads);
         let (graph, median, p95) = measure(args.repeats, || {
             let (built, t) = Span::timed("bench.graph_build", || {
-                ProfileGraph::build_with_pool(
-                    space.clone(),
-                    vm_types.clone(),
-                    GraphLimits::default(),
-                    pool,
-                )
+                ProfileGraph::build(space.clone(), vm_types.clone(), GraphLimits::default())
             });
             (built, ms(t))
         });
         let graph = graph.map_err(|e| format!("graph build failed: {e}"))?;
-        if threads == baseline_threads {
-            baseline_ms = median;
+        let shape = (graph.node_count(), graph.edge_count());
+        if let Some(expected) = &reference_graph {
+            let want = (expected.node_count(), expected.edge_count());
+            if shape != want {
+                return Err(format!(
+                    "determinism violation: graph (nodes, edges) {shape:?} at {threads} \
+                     threads but {want:?} at {baseline_threads}"
+                ));
+            }
         }
-        push(
-            "graph_build",
-            0,
-            threads,
-            median,
-            p95,
-            baseline_ms,
-            graph.node_count(),
-            graph.edge_count(),
-        );
+        sweep.push("graph_build", 0, threads, (median, p95), shape);
         reference_graph.get_or_insert(graph);
     }
     let graph = reference_graph.ok_or("no thread counts to sweep")?;
+    let shape = (graph.node_count(), graph.edge_count());
 
-    // Stage 2: PageRank convergence on that graph.
+    // Stage 2: PageRank convergence on that graph; iterations and score
+    // bits must match at every width.
     let config = PageRankConfig::default();
-    baseline_ms = 0.0;
+    let mut reference_pr: Option<PageRankResult> = None;
     for &threads in &args.threads {
-        let pool = Pool::new(threads);
+        prvm_par::set_global_threads(threads);
         let (result, median, p95) = measure(args.repeats, || {
-            let (pr, t) = Span::timed("bench.pagerank", || {
-                pagerank_with_pool(&graph, &config, pool)
-            });
+            let (pr, t) = Span::timed("bench.pagerank", || pagerank(&graph, &config));
             (pr, ms(t))
         });
         if !result.converged {
@@ -539,19 +543,19 @@ pub fn run(args: &PerfArgs) -> Result<PerfReport, String> {
                 result.iterations
             ));
         }
-        if threads == baseline_threads {
-            baseline_ms = median;
+        if let Some(expected) = &reference_pr {
+            let bits =
+                |r: &PageRankResult| -> Vec<u64> { r.scores.iter().map(|s| s.to_bits()).collect() };
+            if result.iterations != expected.iterations || bits(&result) != bits(expected) {
+                return Err(format!(
+                    "determinism violation: PageRank at {threads} threads ({} iterations) \
+                     differs from {baseline_threads} threads ({} iterations)",
+                    result.iterations, expected.iterations
+                ));
+            }
         }
-        push(
-            "pagerank",
-            0,
-            threads,
-            median,
-            p95,
-            baseline_ms,
-            graph.node_count(),
-            graph.edge_count(),
-        );
+        sweep.push("pagerank", 0, threads, (median, p95), shape);
+        reference_pr.get_or_insert(result);
     }
 
     // Stages 3–4: the incremental score engine (DESIGN.md §15). Both
@@ -562,7 +566,7 @@ pub fn run(args: &PerfArgs) -> Result<PerfReport, String> {
     // `ScoreBook::build` of the merged catalog; `incremental` is
     // `ScoreBook::extend` (cached-replay re-BFS + warm-started
     // PageRank) from the base book. The base book is built once,
-    // untimed — the determinism contract makes the building pool
+    // untimed — the determinism contract makes the worker width
     // irrelevant to its contents.
     let pm_types = catalog::ec2_pm_types();
     let base_vm_specs = catalog::ec2_vm_types();
@@ -582,8 +586,6 @@ pub fn run(args: &PerfArgs) -> Result<PerfReport, String> {
     )
     .map_err(|e| format!("base score book build failed: {e}"))?;
 
-    baseline_ms = 0.0;
-    let mut full_rebuild_ms = 0.0;
     for &threads in &args.threads {
         prvm_par::set_global_threads(threads);
         let (built, median, p95) = measure(args.repeats, || {
@@ -599,25 +601,15 @@ pub fn run(args: &PerfArgs) -> Result<PerfReport, String> {
             (b, ms(t))
         });
         let built = built.map_err(|e| format!("full rebuild failed: {e}"))?;
-        if threads == baseline_threads {
-            baseline_ms = median;
-            full_rebuild_ms = median;
-        }
-        let nodes: usize = built.tables().map(|(_, t)| t.graph().node_count()).sum();
-        let edges: usize = built.tables().map(|(_, t)| t.graph().edge_count()).sum();
-        push(
+        sweep.push(
             "full_rebuild",
             0,
             threads,
-            median,
-            p95,
-            baseline_ms,
-            nodes,
-            edges,
+            (median, p95),
+            book_shape(&built),
         );
     }
 
-    baseline_ms = 0.0;
     for &threads in &args.threads {
         prvm_par::set_global_threads(threads);
         let (extended, median, p95) = measure(args.repeats, || {
@@ -627,44 +619,34 @@ pub fn run(args: &PerfArgs) -> Result<PerfReport, String> {
             (b, ms(t))
         });
         let extended = extended.map_err(|e| format!("incremental extend failed: {e}"))?;
-        if threads == baseline_threads {
-            baseline_ms = median;
-            if median > 0.0 {
-                eprintln!(
-                    "[bench] incremental vs full rebuild: {:.2}x cheaper",
-                    full_rebuild_ms / median
-                );
-            }
+        if threads == baseline_threads && median > 0.0 {
+            eprintln!(
+                "[bench] incremental vs full rebuild: {:.2}x cheaper",
+                sweep.baseline_ms("full_rebuild", 0).unwrap_or(0.0) / median
+            );
         }
-        let nodes: usize = extended.tables().map(|(_, t)| t.graph().node_count()).sum();
-        let edges: usize = extended.tables().map(|(_, t)| t.graph().edge_count()).sum();
-        push(
+        sweep.push(
             "incremental",
             0,
             threads,
-            median,
-            p95,
-            baseline_ms,
-            nodes,
-            edges,
+            (median, p95),
+            book_shape(&extended),
         );
     }
     prvm_par::set_global_threads(0);
 
     // Shared score book for the placement-only stage (built once; the
-    // determinism contract makes the building pool irrelevant to results).
+    // determinism contract makes the worker width irrelevant to results).
     eprintln!("[bench] building shared score book…");
     let book = std::sync::Arc::new(build_book(args.quantizer, &config)?);
-    let book_nodes: usize = book.tables().map(|(_, t)| t.graph().node_count()).sum();
-    let book_edges: usize = book.tables().map(|(_, t)| t.graph().edge_count()).sum();
+    let book_shape = book_shape(&book);
 
     for &n in &args.vms {
         let requests = request_batch(n, args.seed);
 
-        // Stage 3: Algorithm 2 over a prebuilt book. Placement itself is
+        // Stage 5: Algorithm 2 over a prebuilt book. Placement itself is
         // sequential, so this doubles as a determinism check: the PM count
         // must match across every thread count.
-        baseline_ms = 0.0;
         let mut reference_pms: Option<usize> = None;
         for &threads in &args.threads {
             prvm_par::set_global_threads(threads);
@@ -687,24 +669,11 @@ pub fn run(args: &PerfArgs) -> Result<PerfReport, String> {
                 }
                 Some(_) => {}
             }
-            if threads == baseline_threads {
-                baseline_ms = median;
-            }
-            push(
-                "placement",
-                n,
-                threads,
-                median,
-                p95,
-                baseline_ms,
-                book_nodes,
-                book_edges,
-            );
+            sweep.push("placement", n, threads, (median, p95), book_shape);
         }
 
-        // Stage 4: cold start — score book (graph + PageRank + BPRU, the
+        // Stage 6: cold start — score book (graph + PageRank + BPRU, the
         // parallel part) plus the full placement batch.
-        baseline_ms = 0.0;
         for &threads in &args.threads {
             prvm_par::set_global_threads(threads);
             let (outcome, median, p95) = measure(args.repeats, || {
@@ -719,19 +688,7 @@ pub fn run(args: &PerfArgs) -> Result<PerfReport, String> {
                 (result, ms(t))
             });
             outcome.map_err(|e| format!("end-to-end run of {n} VMs failed: {e}"))?;
-            if threads == baseline_threads {
-                baseline_ms = median;
-            }
-            push(
-                "end_to_end",
-                n,
-                threads,
-                median,
-                p95,
-                baseline_ms,
-                book_nodes,
-                book_edges,
-            );
+            sweep.push("end_to_end", n, threads, (median, p95), book_shape);
         }
     }
     prvm_par::set_global_threads(0);
@@ -742,7 +699,65 @@ pub fn run(args: &PerfArgs) -> Result<PerfReport, String> {
         repeats: args.repeats,
         host_threads,
         thread_counts: args.threads.clone(),
-        rows,
+        rows: sweep.rows,
+    })
+}
+
+/// The rows of a sweep in progress. Speedups are taken against the row
+/// of the same `(stage, vms)` cell at the baseline width, which the
+/// sweep always measures first.
+struct Sweep {
+    baseline_threads: usize,
+    rows: Vec<StageRow>,
+}
+
+impl Sweep {
+    /// Median of the `(stage, vms)` cell at the baseline width, once
+    /// measured.
+    fn baseline_ms(&self, stage: &str, vms: usize) -> Option<f64> {
+        self.rows
+            .iter()
+            .find(|r| r.stage == stage && r.vms == vms && r.threads == self.baseline_threads)
+            .map(|r| r.median_ms)
+    }
+
+    /// Record one cell (with its progress line on stderr); `shape` is
+    /// the graph `(nodes, edges)` the stage worked on.
+    fn push(
+        &mut self,
+        stage: &str,
+        vms: usize,
+        threads: usize,
+        (median_ms, p95_ms): (f64, f64),
+        (graph_nodes, graph_edges): (usize, usize),
+    ) {
+        let baseline_ms = self.baseline_ms(stage, vms).unwrap_or(median_ms);
+        let speedup = if median_ms > 0.0 && baseline_ms > 0.0 {
+            baseline_ms / median_ms
+        } else {
+            1.0
+        };
+        eprintln!(
+            "[bench] {stage:<11} vms={vms:<5} threads={threads} \
+             median={median_ms:9.2}ms p95={p95_ms:9.2}ms speedup={speedup:5.2}x"
+        );
+        self.rows.push(StageRow {
+            stage: stage.to_string(),
+            vms,
+            threads,
+            median_ms,
+            p95_ms,
+            speedup_vs_1t: speedup,
+            graph_nodes,
+            graph_edges,
+        });
+    }
+}
+
+/// Total `(nodes, edges)` over every table of a book.
+fn book_shape(book: &ScoreBook) -> (usize, usize) {
+    book.tables().fold((0, 0), |(n, e), (_, t)| {
+        (n + t.graph().node_count(), e + t.graph().edge_count())
     })
 }
 
@@ -910,6 +925,7 @@ mod tests {
         assert!(PerfArgs::try_parse(["--vms".to_string()]).is_err());
         assert!(PerfArgs::try_parse(["--vms".to_string(), "0".to_string()]).is_err());
         assert!(PerfArgs::try_parse(["--threads".to_string(), "1,x".to_string()]).is_err());
+        assert!(PerfArgs::try_parse(["--threads".to_string(), "1,2,1".to_string()]).is_err());
         assert!(PerfArgs::try_parse(["--repeats".to_string(), "0".to_string()]).is_err());
         assert!(PerfArgs::try_parse(["--gate".to_string()]).is_err());
         assert!(PerfArgs::try_parse(["--gate-threshold".to_string(), "zero".to_string()]).is_err());
@@ -1084,6 +1100,47 @@ mod tests {
         assert!(bad.validate().is_err());
         let mut bad = good;
         bad.rows[0].threads = 8; // not in thread_counts
+        assert!(bad.validate().is_err());
+    }
+
+    #[test]
+    fn validate_requires_the_full_stage_width_matrix() {
+        let mut good = tiny_report();
+        good.thread_counts = vec![1, 2];
+        let wide: Vec<StageRow> = good
+            .rows
+            .iter()
+            .map(|r| StageRow {
+                threads: 2,
+                ..r.clone()
+            })
+            .collect();
+        good.rows.extend(wide);
+        good.validate().unwrap();
+        for missing in 0..good.rows.len() {
+            let mut bad = good.clone();
+            let row = bad.rows.remove(missing);
+            let err = bad.validate().unwrap_err();
+            assert!(
+                err.contains(&format!("0 rows for {}", row.stage)),
+                "dropping {}/{}t: {err}",
+                row.stage,
+                row.threads
+            );
+        }
+        let mut bad = good.clone();
+        bad.rows.push(bad.rows[0].clone());
+        assert!(bad
+            .validate()
+            .unwrap_err()
+            .contains("2 rows for graph_build"));
+        // A second VM count needs its own placement and end-to-end rows
+        // at every width.
+        let mut bad = good;
+        bad.rows.push(StageRow {
+            vms: 9,
+            ..bad.rows[4].clone()
+        });
         assert!(bad.validate().is_err());
     }
 

@@ -194,30 +194,22 @@ impl ProfileGraph {
         vm_types: Vec<ProfileVm>,
         limits: GraphLimits,
     ) -> Result<Self, GraphError> {
-        Self::build_full_with_pool(space, vm_types, limits, Pool::global())
-    }
-
-    /// [`Self::build_full`] on an explicit worker [`Pool`]; bit-for-bit
-    /// identical at any pool width (DESIGN.md §10).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::build`].
-    pub fn build_full_with_pool(
-        space: ProfileSpace,
-        vm_types: Vec<ProfileVm>,
-        limits: GraphLimits,
-        pool: Pool,
-    ) -> Result<Self, GraphError> {
-        Self::build_from_root(space, vm_types, limits, &pool, BuildMode::Full)
+        Self::build_from_root(space, vm_types, limits, &Pool::global(), BuildMode::Full)
     }
 
     /// Build the graph by BFS from the empty profile.
     ///
     /// VM types that cannot fit even an empty PM are ignored (they would
     /// contribute no edges). Expansion runs on the global worker
-    /// [`Pool`]; see [`Self::build_with_pool`] for the determinism
-    /// contract.
+    /// [`Pool`], sized by [`prvm_par::set_global_threads`].
+    ///
+    /// The BFS is level-synchronous: each frontier's successor profiles
+    /// are enumerated in parallel (the `place` combinatorics dominate
+    /// the cost), then merged **sequentially in frontier order**, which
+    /// mints node ids in exactly the order the single-threaded queue
+    /// BFS would — so the resulting graph (node numbering, CSR layout,
+    /// everything) is bit-for-bit identical at any worker count
+    /// (DESIGN.md §10).
     ///
     /// ```
     /// use pagerankvm::{GraphLimits, ProfileGraph, ProfileSpace, ProfileVm};
@@ -248,29 +240,13 @@ impl ProfileGraph {
         vm_types: Vec<ProfileVm>,
         limits: GraphLimits,
     ) -> Result<Self, GraphError> {
-        Self::build_with_pool(space, vm_types, limits, Pool::global())
-    }
-
-    /// [`Self::build`] on an explicit worker [`Pool`].
-    ///
-    /// The BFS is level-synchronous: each frontier's successor profiles
-    /// are enumerated in parallel (the `place` combinatorics dominate
-    /// the cost), then merged **sequentially in frontier order**, which
-    /// mints node ids in exactly the order the single-threaded queue
-    /// BFS would — so the resulting graph (node numbering, CSR layout,
-    /// everything) is bit-for-bit identical at any pool width
-    /// (DESIGN.md §10).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::build`].
-    pub fn build_with_pool(
-        space: ProfileSpace,
-        vm_types: Vec<ProfileVm>,
-        limits: GraphLimits,
-        pool: Pool,
-    ) -> Result<Self, GraphError> {
-        Self::build_from_root(space, vm_types, limits, &pool, BuildMode::Reachable)
+        Self::build_from_root(
+            space,
+            vm_types,
+            limits,
+            &Pool::global(),
+            BuildMode::Reachable,
+        )
     }
 
     /// The cold build behind [`Self::build`] and [`Self::build_full`]:
@@ -331,7 +307,16 @@ impl ProfileGraph {
     }
 
     /// Rebuild this graph for a catalog grown by `delta` VM types, on
-    /// the global worker [`Pool`] — see [`Self::extend_with_pool`].
+    /// the global worker [`Pool`].
+    ///
+    /// The BFS is *replayed* over the merged catalog, but for `(node,
+    /// VM type)` pairs already present in this graph the expansion
+    /// cache answers instead of `place` — only profiles first reached
+    /// through a delta edge, plus every node's delta-VM expansions, pay
+    /// the enumeration combinatorics. Ids are minted in replay
+    /// (= from-scratch) discovery order, so the result is bit-for-bit
+    /// identical to a fresh build (of the same mode) over
+    /// `self.vm_types() ++ delta`, at any worker count.
     ///
     /// ```
     /// use pagerankvm::{GraphLimits, ProfileGraph, ProfileSpace, ProfileVm};
@@ -364,29 +349,6 @@ impl ProfileGraph {
     ///
     /// Same conditions as [`Self::build`] over the merged catalog.
     pub fn extend(&self, delta: Vec<ProfileVm>, limits: GraphLimits) -> Result<Self, GraphError> {
-        self.extend_with_pool(delta, limits, Pool::global())
-    }
-
-    /// [`Self::extend`] on an explicit worker [`Pool`].
-    ///
-    /// The BFS is *replayed* over the merged catalog, but for `(node,
-    /// VM type)` pairs already present in this graph the expansion
-    /// cache answers instead of `place` — only profiles first reached
-    /// through a delta edge, plus every node's delta-VM expansions, pay
-    /// the enumeration combinatorics. Ids are minted in replay
-    /// (= from-scratch) discovery order, so the result is bit-for-bit
-    /// identical to a fresh build (of the same mode) over
-    /// `self.vm_types() ++ delta`, at any pool width.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Self::build`] over the merged catalog.
-    pub fn extend_with_pool(
-        &self,
-        delta: Vec<ProfileVm>,
-        limits: GraphLimits,
-        pool: Pool,
-    ) -> Result<Self, GraphError> {
         let _span = Span::enter("graph_extend");
         let usable_delta = usable_vms(&self.space, delta);
         if usable_delta.is_empty() {
@@ -394,7 +356,7 @@ impl ProfileGraph {
             // a replay would reproduce this graph field for field.
             return Ok(self.clone());
         }
-        let run = self.replay(usable_delta, limits, &pool)?;
+        let run = self.replay(usable_delta, limits, &Pool::global())?;
         let graph = run.graph;
         prvm_obs::counter!("graph.extend.cached_groups", run.cached_groups);
         prvm_obs::counter!("graph.extend.place_calls", run.place_calls);

@@ -28,6 +28,11 @@
 //!    eviction rule for overloaded PMs;
 //! 9. [`two_choice`] — the sampled O(1) variant sketched in §V-C.
 //!
+//! Graph construction and PageRank run on the process-wide worker pool,
+//! whose width [`prvm_par::set_global_threads`] sets (the CLI's
+//! `--threads`). Results are bit-for-bit identical at every width
+//! (DESIGN.md §10), so the width is a wall-clock knob only.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -75,12 +80,8 @@ pub use bpru::bpru as compute_bpru;
 pub use cache::CacheError;
 pub use graph::{GraphError, GraphLimits, NodeId, ProfileGraph};
 pub use intern::{ProfileId, ProfileInterner};
-pub use pagerank::{
-    pagerank, pagerank_warm, pagerank_warm_with_pool, pagerank_with_pool, Orientation,
-    PageRankConfig, PageRankResult,
-};
+pub use pagerank::{pagerank, pagerank_warm, Orientation, PageRankConfig, PageRankResult};
 pub use placer::{PageRankEviction, PageRankVmPlacer, RankedOptions};
 pub use profile::{KindSpace, Profile, ProfileSpace, ProfileVm};
-pub use prvm_par::Pool;
 pub use table::{ScoreBook, ScoreTable};
 pub use two_choice::TwoChoicePlacer;

@@ -48,11 +48,12 @@ pub enum Orientation {
     TowardFuller,
 }
 
+/// Damping factor `d` of Equ. (12); Algorithm 1 fixes the customary 0.85.
+const DAMPING: f64 = 0.85;
+
 /// Parameters of the PageRank iteration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PageRankConfig {
-    /// Damping factor `d`; the paper uses the customary 0.85.
-    pub damping: f64,
     /// Convergence threshold `ε` on the max per-node change.
     pub epsilon: f64,
     /// Safety bound on iterations.
@@ -64,7 +65,6 @@ pub struct PageRankConfig {
 impl Default for PageRankConfig {
     fn default() -> Self {
         Self {
-            damping: 0.85,
             epsilon: 1e-10,
             max_iters: 500,
             orientation: Orientation::default(),
@@ -89,7 +89,15 @@ pub struct PageRankResult {
 }
 
 /// Run Algorithm 1 (lines 2–18) over `graph`, on the global worker
-/// [`Pool`].
+/// [`prvm_par::Pool`].
+///
+/// The sparse mat-vec inside each power-iteration sweep is *gathered*
+/// per receiving node — every node's incoming votes are summed
+/// left-to-right in a fixed (ascending voter id) order by whichever
+/// worker owns that node — so residuals and score bit patterns are
+/// identical at any worker count (DESIGN.md §10). The teleport /
+/// normalisation passes are O(n) and stay sequential, preserving the
+/// historical summation order.
 ///
 /// ```
 /// use pagerankvm::{pagerank, GraphLimits, PageRankConfig, ProfileGraph,
@@ -106,59 +114,37 @@ pub struct PageRankResult {
 /// assert!((result.scores.iter().sum::<f64>() - 1.0).abs() < 1e-9);
 /// # Ok::<(), pagerankvm::GraphError>(())
 /// ```
-///
-/// # Panics
-///
-/// Panics if `config.damping` is outside `(0, 1)` or the graph is empty.
 #[must_use]
 pub fn pagerank(graph: &ProfileGraph, config: &PageRankConfig) -> PageRankResult {
-    pagerank_with_pool(graph, config, Pool::global())
-}
-
-/// [`pagerank`] on an explicit worker [`Pool`].
-///
-/// The sparse mat-vec inside each power-iteration sweep is *gathered*
-/// per receiving node — every node's incoming votes are summed
-/// left-to-right in a fixed (ascending voter id) order by whichever
-/// worker owns that node — so residuals and score bit patterns are
-/// identical at any pool width (DESIGN.md §10). The teleport /
-/// normalisation passes are O(n) and stay sequential, preserving the
-/// historical summation order.
-///
-/// # Panics
-///
-/// Panics if `config.damping` is outside `(0, 1)` or the graph is empty.
-#[must_use]
-pub fn pagerank_with_pool(
-    graph: &ProfileGraph,
-    config: &PageRankConfig,
-    pool: Pool,
-) -> PageRankResult {
-    assert!(
-        config.damping > 0.0 && config.damping < 1.0,
-        "damping factor must be in (0, 1)"
-    );
     let n = graph.node_count();
-    assert!(n > 0, "graph must have nodes");
     let nf = convert::usize_to_f64(n);
-    power_iterate(graph, config, pool, vec![1.0 / nf; n])
+    power_iterate(graph, config, &Pool::global(), vec![1.0 / nf; n])
 }
 
 /// [`pagerank`] warm-started from a previous run's scores, on the global
-/// worker [`Pool`] — the incremental path after [`ProfileGraph::extend`].
+/// worker [`prvm_par::Pool`] — the incremental path after
+/// [`ProfileGraph::extend`].
 ///
 /// Each node of `graph` whose profile also exists in `prev_graph` starts
 /// from that node's previous score; nodes new to `graph` start from the
 /// uniform `1/N`. The seed vector is renormalised and then iterated by
 /// exactly the same sweep as a cold run, so the only difference is the
-/// starting point — and [`PageRankResult::iterations`] is the metric
-/// proving the warm start pays (a 1-VM-type delta typically converges in
-/// a handful of sweeps instead of a cold run's dozens; see
-/// EXPERIMENTS.md).
+/// starting point, and [`PageRankResult::iterations`] counts what it
+/// saves. That is little once the delta reshapes the graph:
+///
+/// ```text
+/// bash perfbench/run.sh --workload book-refresh --seed 1 --seconds 5 --trace 1
+/// ```
+///
+/// reports `pagerank.sweeps` = 101 for the cold base book (M3 50 + C3
+/// 51) and `pagerank.warm_sweeps` = 16.5 per table over its refreshes.
+/// That mean hides two cases: a same-footprint delta converges in 2–3
+/// sweeps, while the structural `c3.xlarge` delta takes 46 warm against
+/// 47 cold on M3 (43 vs 51 on C3; EXPERIMENTS.md).
 ///
 /// Determinism: the seed is a pure function of `(graph, prev_graph,
 /// prev_scores)` built in node-id order, so warm runs are bit-identical
-/// at any pool width, and replaying the same `(base, delta)` history
+/// at any worker count, and replaying the same `(base, delta)` history
 /// reproduces bit-identical scores (DESIGN.md §15).
 ///
 /// ```
@@ -183,10 +169,9 @@ pub fn pagerank_with_pool(
 ///
 /// # Panics
 ///
-/// Panics if `config.damping` is outside `(0, 1)`, `graph` is empty,
-/// `prev_scores` does not match `prev_graph`'s node count, or the seed
-/// mass is not positive (previous PageRank scores are all positive by
-/// the teleport term).
+/// Panics if `prev_scores` does not match `prev_graph`'s node count, or
+/// the seed mass is not positive (previous PageRank scores are all
+/// positive by the teleport term).
 #[must_use]
 pub fn pagerank_warm(
     graph: &ProfileGraph,
@@ -194,29 +179,8 @@ pub fn pagerank_warm(
     prev_graph: &ProfileGraph,
     prev_scores: &[f64],
 ) -> PageRankResult {
-    pagerank_warm_with_pool(graph, config, prev_graph, prev_scores, Pool::global())
-}
-
-/// [`pagerank_warm`] on an explicit worker [`Pool`].
-///
-/// # Panics
-///
-/// Same conditions as [`pagerank_warm`].
-#[must_use]
-pub fn pagerank_warm_with_pool(
-    graph: &ProfileGraph,
-    config: &PageRankConfig,
-    prev_graph: &ProfileGraph,
-    prev_scores: &[f64],
-    pool: Pool,
-) -> PageRankResult {
     let _span = Span::enter("pagerank_warm");
-    assert!(
-        config.damping > 0.0 && config.damping < 1.0,
-        "damping factor must be in (0, 1)"
-    );
     let n = graph.node_count();
-    assert!(n > 0, "graph must have nodes");
     assert_eq!(
         prev_scores.len(),
         prev_graph.node_count(),
@@ -250,7 +214,7 @@ pub fn pagerank_warm_with_pool(
         .field("seeded", seeded)
         .field("fresh", convert::usize_to_u64(n).saturating_sub(seeded))
         .emit();
-    power_iterate(graph, config, pool, init)
+    power_iterate(graph, config, &Pool::global(), init)
 }
 
 /// The power iteration itself (Algorithm 1 lines 2–18), from an explicit
@@ -260,7 +224,7 @@ pub fn pagerank_warm_with_pool(
 fn power_iterate(
     graph: &ProfileGraph,
     config: &PageRankConfig,
-    pool: Pool,
+    pool: &Pool,
     init: Vec<f64>,
 ) -> PageRankResult {
     let n = graph.node_count();
@@ -335,11 +299,11 @@ fn power_iterate(
             }
         };
         // Lines 13–16: new scores from the teleport term plus damped votes.
-        let teleport = (1.0 - config.damping) / nf;
+        let teleport = (1.0 - DAMPING) / nf;
         let mut total = 0.0;
         let mut next = vec![0.0; n];
         for (nx, &a) in next.iter_mut().zip(aux.iter()) {
-            *nx = teleport + config.damping * a;
+            *nx = teleport + DAMPING * a;
             total += *nx;
         }
         // Line 17: normalise.
@@ -573,19 +537,6 @@ mod tests {
             .iter()
             .zip(b.scores.iter())
             .all(|(x, y)| x.to_bits() == y.to_bits()));
-    }
-
-    #[test]
-    #[should_panic(expected = "damping")]
-    fn invalid_damping_rejected() {
-        let g = paper_graph();
-        let _ = pagerank(
-            &g,
-            &PageRankConfig {
-                damping: 1.5,
-                ..PageRankConfig::default()
-            },
-        );
     }
 
     #[test]

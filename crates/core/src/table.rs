@@ -64,8 +64,20 @@ impl ScoreTable {
     /// this table's converged scores, and the BPRU discount is
     /// recomputed over the extended graph. Bit-identical to
     /// [`Self::build_seeded`] over the same `(base, delta)` history
-    /// (DESIGN.md §15) — and far cheaper than a cold [`Self::build`] of
-    /// the merged catalog.
+    /// (DESIGN.md §15).
+    ///
+    /// The warm start pays only for deltas that leave the graph as it
+    /// was. In
+    ///
+    /// ```text
+    /// bash perfbench/run.sh --workload book-refresh --seed 1 --seconds 5 --trace 1
+    /// ```
+    ///
+    /// `pagerank.warm_sweeps` is 16.5 per table against
+    /// `pagerank.sweeps` = 101 for the two cold base tables, and that
+    /// mean is mostly same-footprint refreshes (2–3 sweeps): the
+    /// structural `c3.xlarge` delta still takes 46 of a cold run's 47
+    /// sweeps on M3 (see [`pagerank_warm`]).
     ///
     /// # Errors
     ///
@@ -220,25 +232,7 @@ impl ScoreBook {
         config: &PageRankConfig,
         limits: GraphLimits,
     ) -> Result<Self, GraphError> {
-        let _span = prvm_obs::Span::enter("score_book");
-        let mut tables: Vec<(PmSpec, ScoreTable)> = Vec::new();
-        for pm in pm_specs {
-            if tables.iter().any(|(spec, _)| spec == pm) {
-                continue;
-            }
-            let qpm = quantizer.quantize_pm(pm);
-            let space = ProfileSpace::from_quantized_pm(&qpm);
-            let vms: Vec<ProfileVm> = vm_types
-                .iter()
-                .filter_map(|v| space.vm_demand(&quantizer.quantize_vm(v, pm)))
-                .collect();
-            let table = ScoreTable::build(space, vms, config, limits)?;
-            tables.push((pm.clone(), table));
-        }
-        prvm_obs::event("score_book.built")
-            .field("pm_types", tables.len())
-            .emit();
-        Ok(Self { quantizer, tables })
+        Self::build_tables(quantizer, pm_specs, vm_types, None, config, limits)
     }
 
     /// Incrementally rebuild every table for a catalog grown by
@@ -260,10 +254,7 @@ impl ScoreBook {
         let _span = prvm_obs::Span::enter("score_book_extend");
         let mut tables: Vec<(PmSpec, ScoreTable)> = Vec::with_capacity(self.tables.len());
         for (pm, table) in &self.tables {
-            let delta: Vec<ProfileVm> = delta_vm_types
-                .iter()
-                .filter_map(|v| table.space().vm_demand(&self.quantizer.quantize_vm(v, pm)))
-                .collect();
+            let delta = profile_vms(&self.quantizer, pm, table.space(), delta_vm_types);
             tables.push((pm.clone(), table.extend(delta, config, limits)?));
         }
         prvm_obs::event("score_book.extended")
@@ -291,23 +282,42 @@ impl ScoreBook {
         config: &PageRankConfig,
         limits: GraphLimits,
     ) -> Result<Self, GraphError> {
+        Self::build_tables(
+            quantizer,
+            pm_specs,
+            base_vm_types,
+            Some(delta_vm_types),
+            config,
+            limits,
+        )
+    }
+
+    /// The per-PM-type loop behind [`Self::build`] (no delta)
+    /// and [`Self::build_seeded`]: one table per distinct PM type, in
+    /// first-seen order, over the VM types quantized into its space.
+    fn build_tables(
+        quantizer: Quantizer,
+        pm_specs: &[PmSpec],
+        base_vm_types: &[VmSpec],
+        delta_vm_types: Option<&[VmSpec]>,
+        config: &PageRankConfig,
+        limits: GraphLimits,
+    ) -> Result<Self, GraphError> {
         let _span = prvm_obs::Span::enter("score_book");
         let mut tables: Vec<(PmSpec, ScoreTable)> = Vec::new();
         for pm in pm_specs {
             if tables.iter().any(|(spec, _)| spec == pm) {
                 continue;
             }
-            let qpm = quantizer.quantize_pm(pm);
-            let space = ProfileSpace::from_quantized_pm(&qpm);
-            let base: Vec<ProfileVm> = base_vm_types
-                .iter()
-                .filter_map(|v| space.vm_demand(&quantizer.quantize_vm(v, pm)))
-                .collect();
-            let delta: Vec<ProfileVm> = delta_vm_types
-                .iter()
-                .filter_map(|v| space.vm_demand(&quantizer.quantize_vm(v, pm)))
-                .collect();
-            let table = ScoreTable::build_seeded(space, base, delta, config, limits)?;
+            let space = ProfileSpace::from_quantized_pm(&quantizer.quantize_pm(pm));
+            let base = profile_vms(&quantizer, pm, &space, base_vm_types);
+            let table = match delta_vm_types {
+                None => ScoreTable::build(space, base, config, limits)?,
+                Some(delta) => {
+                    let delta = profile_vms(&quantizer, pm, &space, delta);
+                    ScoreTable::build_seeded(space, base, delta, config, limits)?
+                }
+            };
             tables.push((pm.clone(), table));
         }
         prvm_obs::event("score_book.built")
@@ -393,6 +403,18 @@ impl ScoreBook {
         }
         space.canonicalize(&parts)
     }
+}
+
+/// The VM types of `vms` that fit `space`, quantized against `pm`.
+fn profile_vms(
+    quantizer: &Quantizer,
+    pm: &PmSpec,
+    space: &ProfileSpace,
+    vms: &[VmSpec],
+) -> Vec<ProfileVm> {
+    vms.iter()
+        .filter_map(|v| space.vm_demand(&quantizer.quantize_vm(v, pm)))
+        .collect()
 }
 
 #[cfg(test)]

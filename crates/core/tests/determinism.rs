@@ -4,10 +4,11 @@
 //! equality — scheduling must never leak into results.
 
 use pagerankvm::{
-    pagerank, pagerank_warm_with_pool, pagerank_with_pool, GraphLimits, Orientation,
-    PageRankConfig, Pool, ProfileGraph, ProfileSpace, ProfileVm, ScoreBook, ScoreTable,
+    pagerank, pagerank_warm, GraphLimits, Orientation, PageRankConfig, PageRankResult,
+    ProfileGraph, ProfileSpace, ProfileVm, ScoreBook, ScoreTable,
 };
 use prvm_model::{catalog, Quantizer};
+use std::sync::{Mutex, PoisonError};
 
 fn paper_vms() -> Vec<ProfileVm> {
     vec![
@@ -22,100 +23,97 @@ fn space() -> ProfileSpace {
     ProfileSpace::uniform(6, 6)
 }
 
+/// The worker width is process-wide and the tests in this binary run
+/// concurrently, so every width change happens under this lock.
+static WIDTH: Mutex<()> = Mutex::new(());
+
+/// The worker widths every case here runs at.
+const WIDTHS: [usize; 3] = [1, 2, 4];
+
+/// Run `case` once per worker width in `widths`, in order, with the
+/// global width set to it; the results come back in the same order.
+fn at_widths<R>(widths: &[usize], mut case: impl FnMut(usize) -> R) -> Vec<R> {
+    let _width = WIDTH.lock().unwrap_or_else(PoisonError::into_inner);
+    let results = widths
+        .iter()
+        .map(|&threads| {
+            prvm_par::set_global_threads(threads);
+            case(threads)
+        })
+        .collect();
+    prvm_par::set_global_threads(0);
+    results
+}
+
+/// Assert that `got` equals `want` node for node: profile, successor
+/// row and utilization bits.
+fn assert_same_graph(got: &ProfileGraph, want: &ProfileGraph, what: &str) {
+    assert_eq!(got.node_count(), want.node_count(), "{what}");
+    assert_eq!(got.edge_count(), want.edge_count(), "{what}");
+    for id in want.node_ids() {
+        assert_eq!(
+            got.profile(id),
+            want.profile(id),
+            "{what}: node {id} profile"
+        );
+        assert_eq!(
+            got.successors(id),
+            want.successors(id),
+            "{what}: node {id} successors"
+        );
+        assert_eq!(
+            got.utilization(id).to_bits(),
+            want.utilization(id).to_bits(),
+            "{what}: node {id} utilization bits"
+        );
+    }
+}
+
+/// Assert that `got` equals `want` bit for bit: iterations, scores and
+/// the residual trajectory.
+fn assert_same_pagerank(got: &PageRankResult, want: &PageRankResult, what: &str) {
+    assert_eq!(got.iterations, want.iterations, "{what}: iteration count");
+    assert_eq!(got.converged, want.converged, "{what}");
+    let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+    assert_eq!(bits(&got.scores), bits(&want.scores), "{what}: score bits");
+    assert_eq!(
+        bits(&got.residuals),
+        bits(&want.residuals),
+        "{what}: residual bits"
+    );
+}
+
 #[test]
 fn graph_build_is_identical_at_1_2_4_threads() {
-    let reference = ProfileGraph::build_with_pool(
-        space(),
-        paper_vms(),
-        GraphLimits::default(),
-        Pool::sequential(),
-    )
-    .expect("reference build");
+    let graphs = at_widths(&WIDTHS, |_| {
+        ProfileGraph::build(space(), paper_vms(), GraphLimits::default()).expect("build")
+    });
     assert!(
-        reference.node_count() > 100,
+        graphs[0].node_count() > 100,
         "space too small to exercise chunking: {} nodes",
-        reference.node_count()
+        graphs[0].node_count()
     );
-    for threads in [2usize, 4] {
-        let got = ProfileGraph::build_with_pool(
-            space(),
-            paper_vms(),
-            GraphLimits::default(),
-            Pool::new(threads),
-        )
-        .expect("parallel build");
-        assert_eq!(
-            got.node_count(),
-            reference.node_count(),
-            "threads={threads}"
-        );
-        assert_eq!(
-            got.edge_count(),
-            reference.edge_count(),
-            "threads={threads}"
-        );
-        for id in reference.node_ids() {
-            assert_eq!(
-                got.profile(id),
-                reference.profile(id),
-                "node {id} profile differs at {threads} threads"
-            );
-            assert_eq!(
-                got.successors(id),
-                reference.successors(id),
-                "node {id} successors differ at {threads} threads"
-            );
-            assert_eq!(
-                got.utilization(id).to_bits(),
-                reference.utilization(id).to_bits(),
-                "node {id} utilization bits differ at {threads} threads"
-            );
-        }
+    for (got, threads) in graphs.iter().zip(WIDTHS).skip(1) {
+        assert_same_graph(got, &graphs[0], &format!("{threads} threads"));
     }
 }
 
 #[test]
 fn pagerank_bits_are_identical_at_1_2_4_threads_both_orientations() {
+    let graph = ProfileGraph::build(space(), paper_vms(), GraphLimits::default()).expect("build");
     for orientation in [Orientation::TowardEmptier, Orientation::TowardFuller] {
         let config = PageRankConfig {
             orientation,
             ..PageRankConfig::default()
         };
-        let graph = ProfileGraph::build_with_pool(
-            space(),
-            paper_vms(),
-            GraphLimits::default(),
-            Pool::sequential(),
-        )
-        .expect("build");
-        let reference = pagerank_with_pool(&graph, &config, Pool::sequential());
-        assert!(reference.converged, "{orientation:?}");
-        for threads in [2usize, 4] {
-            let got = pagerank_with_pool(&graph, &config, Pool::new(threads));
-            assert_eq!(
-                got.iterations, reference.iterations,
-                "{orientation:?} iteration count differs at {threads} threads"
+        let runs = at_widths(&WIDTHS, |_| pagerank(&graph, &config));
+        assert!(runs[0].converged, "{orientation:?}");
+        for (got, threads) in runs.iter().zip(WIDTHS).skip(1) {
+            assert_same_pagerank(
+                got,
+                &runs[0],
+                &format!("{orientation:?} at {threads} threads"),
             );
-            assert_eq!(got.converged, reference.converged);
-            for (i, (a, b)) in got.scores.iter().zip(reference.scores.iter()).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{orientation:?} score[{i}] differs at {threads} threads: {a:e} vs {b:e}"
-                );
-            }
-            for (i, (a, b)) in got
-                .residuals
-                .iter()
-                .zip(reference.residuals.iter())
-                .enumerate()
-            {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{orientation:?} residual[{i}] differs at {threads} threads"
-                );
-            }
         }
     }
 }
@@ -124,57 +122,42 @@ fn pagerank_bits_are_identical_at_1_2_4_threads_both_orientations() {
 /// recorder enabled (and, in test builds, the counting allocator
 /// compiled in via the `prof-alloc` dev-dependency feature), graph and
 /// score bits still match the unprofiled sequential reference exactly.
+/// The 2-worker run puts chunks on at least two worker lanes under both
+/// the `graph_build` and the `pagerank` span, which shows the global
+/// width reaches both entry points.
 #[test]
 fn profiling_enabled_runs_are_bit_identical() {
-    let reference = ProfileGraph::build_with_pool(
-        space(),
-        paper_vms(),
-        GraphLimits::default(),
-        Pool::sequential(),
-    )
-    .expect("reference build");
-    let reference_pr =
-        pagerank_with_pool(&reference, &PageRankConfig::default(), Pool::sequential());
+    let mut runs = at_widths(&[1, 2], |threads| {
+        let profiled = threads == 2;
+        if profiled {
+            prvm_obs::timeline::enable();
+        }
+        let graph =
+            ProfileGraph::build(space(), paper_vms(), GraphLimits::default()).expect("build");
+        let pr = pagerank(&graph, &PageRankConfig::default());
+        let timeline = profiled.then(prvm_obs::timeline::disable);
+        (graph, pr, timeline)
+    });
+    let (profiled, profiled_pr, timeline) = runs.pop().expect("2-worker run");
+    let (reference, reference_pr, _) = runs.pop().expect("1-worker run");
+    let timeline = timeline.expect("2-worker run is profiled");
 
-    prvm_obs::timeline::enable();
-    let profiled =
-        ProfileGraph::build_with_pool(space(), paper_vms(), GraphLimits::default(), Pool::new(2))
-            .expect("profiled build");
-    let profiled_pr = pagerank_with_pool(&profiled, &PageRankConfig::default(), Pool::new(2));
-    let timeline = prvm_obs::timeline::disable();
-
-    assert!(
-        timeline.worker_lanes().len() >= 2,
-        "2-thread profiled run should record >= 2 worker lanes, got {:?}",
-        timeline.lanes
-    );
-    assert_eq!(profiled.node_count(), reference.node_count());
-    assert_eq!(profiled.edge_count(), reference.edge_count());
-    for id in reference.node_ids() {
-        assert_eq!(
-            profiled.successors(id),
-            reference.successors(id),
-            "node {id}"
-        );
-        assert_eq!(
-            profiled.utilization(id).to_bits(),
-            reference.utilization(id).to_bits(),
-            "node {id} utilization bits"
+    for span in ["graph_build/", "pagerank/"] {
+        let mut lanes: Vec<u32> = timeline
+            .records
+            .iter()
+            .filter(|r| r.lane >= 1 && r.label.starts_with(span))
+            .map(|r| r.lane)
+            .collect();
+        lanes.sort_unstable();
+        lanes.dedup();
+        assert!(
+            lanes.len() >= 2,
+            "2-thread profiled run should record >= 2 worker lanes under {span}, got {lanes:?}"
         );
     }
-    assert_eq!(profiled_pr.iterations, reference_pr.iterations);
-    for (i, (a, b)) in profiled_pr
-        .scores
-        .iter()
-        .zip(reference_pr.scores.iter())
-        .enumerate()
-    {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "score[{i}] differs under profiling"
-        );
-    }
+    assert_same_graph(&profiled, &reference, "profiled");
+    assert_same_pagerank(&profiled_pr, &reference_pr, "profiled");
 }
 
 /// Invariant 1 of the incremental score engine (DESIGN.md §15): graph
@@ -183,49 +166,22 @@ fn profiling_enabled_runs_are_bit_identical() {
 #[test]
 fn extend_is_identical_to_fresh_merged_build_at_1_2_4_threads() {
     let vms = paper_vms();
-    let base = ProfileGraph::build_with_pool(
-        space(),
-        vms[1..].to_vec(),
-        GraphLimits::default(),
-        Pool::sequential(),
-    )
-    .expect("base build");
+    let base = ProfileGraph::build(space(), vms[1..].to_vec(), GraphLimits::default())
+        .expect("base build");
     // The merged catalog in extend's VM order: base types, then delta.
     let merged = vec![vms[1].clone(), vms[0].clone()];
     let fresh =
-        ProfileGraph::build_with_pool(space(), merged, GraphLimits::default(), Pool::sequential())
-            .expect("fresh merged build");
+        ProfileGraph::build(space(), merged, GraphLimits::default()).expect("fresh merged build");
     assert!(
         fresh.node_count() > base.node_count(),
         "delta must discover new nodes for this test to mean anything"
     );
-    for threads in [1usize, 2, 4] {
-        let got = base
-            .extend_with_pool(
-                vms[..1].to_vec(),
-                GraphLimits::default(),
-                Pool::new(threads),
-            )
-            .expect("extend");
-        assert_eq!(got.node_count(), fresh.node_count(), "threads={threads}");
-        assert_eq!(got.edge_count(), fresh.edge_count(), "threads={threads}");
-        for id in fresh.node_ids() {
-            assert_eq!(
-                got.profile(id),
-                fresh.profile(id),
-                "node {id} profile differs at {threads} threads"
-            );
-            assert_eq!(
-                got.successors(id),
-                fresh.successors(id),
-                "node {id} successors differ at {threads} threads"
-            );
-            assert_eq!(
-                got.utilization(id).to_bits(),
-                fresh.utilization(id).to_bits(),
-                "node {id} utilization bits differ at {threads} threads"
-            );
-        }
+    let extended = at_widths(&WIDTHS, |_| {
+        base.extend(vms[..1].to_vec(), GraphLimits::default())
+            .expect("extend")
+    });
+    for (got, threads) in extended.iter().zip(WIDTHS) {
+        assert_same_graph(got, &fresh, &format!("extend at {threads} threads"));
     }
 }
 
@@ -237,82 +193,47 @@ fn extend_is_identical_to_fresh_merged_build_at_1_2_4_threads() {
 fn warm_pagerank_bits_are_worker_invariant_and_path_independent() {
     let vms = paper_vms();
     let config = PageRankConfig::default();
-    let base = ProfileGraph::build_with_pool(
-        space(),
-        vms[1..].to_vec(),
-        GraphLimits::default(),
-        Pool::sequential(),
-    )
-    .expect("base build");
-    let base_pr = pagerank_with_pool(&base, &config, Pool::sequential());
+    let base = ProfileGraph::build(space(), vms[1..].to_vec(), GraphLimits::default())
+        .expect("base build");
+    let base_pr = pagerank(&base, &config);
     assert!(base_pr.converged);
 
     let extended = base
-        .extend_with_pool(
-            vms[..1].to_vec(),
-            GraphLimits::default(),
-            Pool::sequential(),
-        )
+        .extend(vms[..1].to_vec(), GraphLimits::default())
         .expect("extend");
     // The merged catalog in extend's VM order: base types, then delta.
     let merged = vec![vms[1].clone(), vms[0].clone()];
     let fresh =
-        ProfileGraph::build_with_pool(space(), merged, GraphLimits::default(), Pool::sequential())
-            .expect("fresh merged build");
+        ProfileGraph::build(space(), merged, GraphLimits::default()).expect("fresh merged build");
 
-    let reference = pagerank_warm_with_pool(
-        &extended,
-        &config,
-        &base,
-        &base_pr.scores,
-        Pool::sequential(),
-    );
+    let runs = at_widths(&WIDTHS, |_| {
+        (
+            pagerank_warm(&extended, &config, &base, &base_pr.scores),
+            pagerank_warm(&fresh, &config, &base, &base_pr.scores),
+        )
+    });
+    let reference = &runs[0].0;
     assert!(reference.converged);
-    // Path independence: same warm start over the freshly built graph.
-    let via_fresh =
-        pagerank_warm_with_pool(&fresh, &config, &base, &base_pr.scores, Pool::sequential());
-    assert_eq!(via_fresh.iterations, reference.iterations);
-    for (i, (a, b)) in via_fresh
-        .scores
-        .iter()
-        .zip(reference.scores.iter())
-        .enumerate()
-    {
-        assert_eq!(a.to_bits(), b.to_bits(), "score[{i}] differs across paths");
-    }
-    // Worker invariance of the warm path.
-    for threads in [2usize, 4] {
-        let got = pagerank_warm_with_pool(
-            &extended,
-            &config,
-            &base,
-            &base_pr.scores,
-            Pool::new(threads),
+    for ((via_extend, via_fresh), threads) in runs.iter().zip(WIDTHS) {
+        // Path independence: same warm start over the freshly built graph.
+        assert_same_pagerank(
+            via_fresh,
+            reference,
+            &format!("fresh path at {threads} threads"),
         );
-        assert_eq!(
-            got.iterations, reference.iterations,
-            "warm iteration count differs at {threads} threads"
-        );
-        for (i, (a, b)) in got.scores.iter().zip(reference.scores.iter()).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "warm score[{i}] differs at {threads} threads"
-            );
-        }
+        // Worker invariance of the warm path.
+        assert_same_pagerank(via_extend, reference, &format!("warm at {threads} threads"));
     }
 }
 
 /// Invariants 1+2 through the public score-table API: `extend` equals
-/// `build_seeded` bit-for-bit at every global worker count (both use
-/// the global pool internally).
+/// `build_seeded` bit-for-bit at every worker count.
 #[test]
 fn score_table_extend_matches_build_seeded_at_1_2_4_global_threads() {
     let vms = paper_vms();
     let config = PageRankConfig::default();
-    let mut reference: Option<Vec<u64>> = None;
-    for threads in [1usize, 2, 4] {
-        prvm_par::set_global_threads(threads);
+    let bits = |t: &ScoreTable| -> Vec<u64> { t.iter().map(|(_, s)| s.to_bits()).collect() };
+    let runs = at_widths(&WIDTHS, |threads| {
         let base = ScoreTable::build(space(), vms[1..].to_vec(), &config, GraphLimits::default())
             .expect("base table");
         let extended = base
@@ -326,46 +247,26 @@ fn score_table_extend_matches_build_seeded_at_1_2_4_global_threads() {
             GraphLimits::default(),
         )
         .expect("seeded rebuild");
-        let bits = |t: &ScoreTable| -> Vec<u64> { t.iter().map(|(_, s)| s.to_bits()).collect() };
         assert_eq!(
             bits(&extended),
             bits(&seeded),
-            "extend != build_seeded at {threads} global threads"
+            "extend != build_seeded at {threads} threads"
         );
-        match &reference {
-            None => reference = Some(bits(&extended)),
-            Some(r) => assert_eq!(
-                r,
-                &bits(&extended),
-                "score bits differ between 1 and {threads} global threads"
-            ),
-        }
-    }
-    prvm_par::set_global_threads(0);
+        bits(&extended)
+    });
+    assert!(
+        runs.iter().all(|r| r == &runs[0]),
+        "score bits differ across 1, 2 and 4 threads"
+    );
 }
 
 #[test]
 fn full_space_graph_is_identical_at_1_2_4_threads() {
-    let reference = ProfileGraph::build_full_with_pool(
-        space(),
-        paper_vms(),
-        GraphLimits::default(),
-        Pool::sequential(),
-    )
-    .expect("reference build_full");
-    for threads in [2usize, 4] {
-        let got = ProfileGraph::build_full_with_pool(
-            space(),
-            paper_vms(),
-            GraphLimits::default(),
-            Pool::new(threads),
-        )
-        .expect("parallel build_full");
-        assert_eq!(got.node_count(), reference.node_count());
-        assert_eq!(got.edge_count(), reference.edge_count());
-        for id in reference.node_ids() {
-            assert_eq!(got.successors(id), reference.successors(id), "node {id}");
-        }
+    let graphs = at_widths(&WIDTHS, |_| {
+        ProfileGraph::build_full(space(), paper_vms(), GraphLimits::default()).expect("build_full")
+    });
+    for (got, threads) in graphs.iter().zip(WIDTHS).skip(1) {
+        assert_same_graph(got, &graphs[0], &format!("full space at {threads} threads"));
     }
 }
 
@@ -441,55 +342,61 @@ fn coarse() -> Quantizer {
 /// Cold-build outputs pinned to committed constants. The other tests in
 /// this file compare construction paths with each other; these digests
 /// tie each path's output to fixed bits, so a change that moved every
-/// path the same way would still fail here.
+/// path the same way would still fail here. Pinned at 1, 2 and 4
+/// workers.
 #[test]
 fn cold_and_extended_graph_digests_are_pinned() {
     let limits = GraphLimits::default();
     let paper = ProfileSpace::uniform(4, 4);
-    let mut got: Vec<(String, u64)> = Vec::new();
+    let runs = at_widths(&WIDTHS, |_| {
+        let mut got: Vec<(String, u64)> = Vec::new();
 
-    let reachable = ProfileGraph::build(paper.clone(), paper_vms(), limits).expect("build");
-    got.push(("paper reachable".into(), cold_digest(&reachable)));
-    let full = ProfileGraph::build_full(paper.clone(), paper_vms(), limits).expect("build_full");
-    got.push(("paper full".into(), cold_digest(&full)));
+        let reachable = ProfileGraph::build(paper.clone(), paper_vms(), limits).expect("build");
+        got.push(("paper reachable".into(), cold_digest(&reachable)));
+        let full =
+            ProfileGraph::build_full(paper.clone(), paper_vms(), limits).expect("build_full");
+        got.push(("paper full".into(), cold_digest(&full)));
 
-    let vms = paper_vms();
-    let base = ProfileGraph::build(space(), vms[1..].to_vec(), limits).expect("base");
-    let extended = base.extend(vms[..1].to_vec(), limits).expect("extend");
-    got.push(("6x6 reachable extend".into(), cold_digest(&extended)));
-    let full_base = ProfileGraph::build_full(paper, vms[..1].to_vec(), limits).expect("base");
-    let full_extended = full_base.extend(vms[1..].to_vec(), limits).expect("extend");
-    got.push(("paper full extend".into(), cold_digest(&full_extended)));
+        let vms = paper_vms();
+        let base = ProfileGraph::build(space(), vms[1..].to_vec(), limits).expect("base");
+        let extended = base.extend(vms[..1].to_vec(), limits).expect("extend");
+        got.push(("6x6 reachable extend".into(), cold_digest(&extended)));
+        let full_base =
+            ProfileGraph::build_full(paper.clone(), vms[..1].to_vec(), limits).expect("base");
+        let full_extended = full_base.extend(vms[1..].to_vec(), limits).expect("extend");
+        got.push(("paper full extend".into(), cold_digest(&full_extended)));
 
-    let config = PageRankConfig::default();
-    let mut base_vms = catalog::ec2_vm_types();
-    let delta = vec![base_vms.pop().expect("non-empty catalog")];
-    let book = ScoreBook::build(
-        coarse(),
-        &catalog::ec2_pm_types(),
-        &catalog::ec2_vm_types(),
-        &config,
-        limits,
-    )
-    .expect("coarse book");
-    for (pm, table) in book.tables() {
-        got.push((format!("coarse book {}", pm.name), table_digest(table)));
-    }
-    let base_book = ScoreBook::build(
-        coarse(),
-        &catalog::ec2_pm_types(),
-        &base_vms,
-        &config,
-        limits,
-    )
-    .expect("coarse base book");
-    let extended_book = base_book.extend(&delta, &config, limits).expect("extend");
-    for (pm, table) in extended_book.tables() {
-        got.push((
-            format!("coarse book extend {}", pm.name),
-            table_digest(table),
-        ));
-    }
+        let config = PageRankConfig::default();
+        let mut base_vms = catalog::ec2_vm_types();
+        let delta = vec![base_vms.pop().expect("non-empty catalog")];
+        let book = ScoreBook::build(
+            coarse(),
+            &catalog::ec2_pm_types(),
+            &catalog::ec2_vm_types(),
+            &config,
+            limits,
+        )
+        .expect("coarse book");
+        for (pm, table) in book.tables() {
+            got.push((format!("coarse book {}", pm.name), table_digest(table)));
+        }
+        let base_book = ScoreBook::build(
+            coarse(),
+            &catalog::ec2_pm_types(),
+            &base_vms,
+            &config,
+            limits,
+        )
+        .expect("coarse base book");
+        let extended_book = base_book.extend(&delta, &config, limits).expect("extend");
+        for (pm, table) in extended_book.tables() {
+            got.push((
+                format!("coarse book extend {}", pm.name),
+                table_digest(table),
+            ));
+        }
+        got
+    });
 
     // Only a deliberate change to graph or score bits may update these.
     let want = [
@@ -502,6 +409,8 @@ fn cold_and_extended_graph_digests_are_pinned() {
         ("coarse book extend M3", 0x385813043bc17829),
         ("coarse book extend C3", 0x22e9a9a279debcc3),
     ];
-    let got: Vec<(&str, u64)> = got.iter().map(|(n, d)| (n.as_str(), *d)).collect();
-    assert_eq!(got, want);
+    for (got, threads) in runs.iter().zip(WIDTHS) {
+        let got: Vec<(&str, u64)> = got.iter().map(|(n, d)| (n.as_str(), *d)).collect();
+        assert_eq!(got, want, "{threads} threads");
+    }
 }

@@ -882,6 +882,7 @@ impl ScanDriver<'_> {
                 "failed_migrations",
                 totals.failed_migrations - last.failed_migrations,
             )
+            .field("offline_vms", staged.offline)
             .emit();
         self.series.push(ScanSample {
             scan: t,
@@ -894,6 +895,7 @@ impl ScanDriver<'_> {
             pm_failures: totals.pm_failures - last.pm_failures,
             evacuations: totals.evacuations - last.evacuations,
             failed_migrations: totals.failed_migrations - last.failed_migrations,
+            offline_vms: staged.offline,
         });
         if let Some(started) = self.scan_started.take() {
             self.scan_wall_series

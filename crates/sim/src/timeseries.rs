@@ -27,6 +27,12 @@ pub struct ScanSample {
     pub evacuations: usize,
     /// Migration/evacuation attempts that failed in flight this scan.
     pub failed_migrations: usize,
+    /// VMs offline this scan: awaiting evacuation off a crashed PM, or
+    /// abandoned this scan. Each is one SLO-violating sample in the
+    /// run's outcome, so the outcome's SLO percentage is
+    /// Σ(`slo_violations` + `offline_vms`) / Σ(`active_pms` +
+    /// `offline_vms`).
+    pub offline_vms: usize,
 }
 
 /// The full per-scan record of one run.
@@ -98,12 +104,12 @@ impl TimeSeries {
         writeln!(
             w,
             "scan,active_pms,mean_utilization,overloaded_pms,migrations,slo_violations,energy_wh,\
-             pm_failures,evacuations,failed_migrations"
+             pm_failures,evacuations,failed_migrations,offline_vms"
         )?;
         for s in &self.samples {
             writeln!(
                 w,
-                "{},{},{:.6},{},{},{},{:.3},{},{},{}",
+                "{},{},{:.6},{},{},{},{:.3},{},{},{},{}",
                 s.scan,
                 s.active_pms,
                 s.mean_utilization,
@@ -113,7 +119,8 @@ impl TimeSeries {
                 s.energy_wh,
                 s.pm_failures,
                 s.evacuations,
-                s.failed_migrations
+                s.failed_migrations,
+                s.offline_vms
             )?;
         }
         Ok(())
@@ -136,6 +143,7 @@ mod tests {
             pm_failures: 0,
             evacuations: 0,
             failed_migrations: 0,
+            offline_vms: 0,
         }
     }
 
@@ -186,6 +194,7 @@ mod tests {
             pm_failures: 1,
             evacuations: 2,
             failed_migrations: 1,
+            offline_vms: 4,
         });
         ts.push(ScanSample {
             scan: 1,
@@ -198,13 +207,14 @@ mod tests {
             pm_failures: 0,
             evacuations: 0,
             failed_migrations: 0,
+            offline_vms: 0,
         });
         let mut buf = Vec::new();
         ts.write_csv(&mut buf).unwrap();
         let expected = "\
-scan,active_pms,mean_utilization,overloaded_pms,migrations,slo_violations,energy_wh,pm_failures,evacuations,failed_migrations
-0,2,0.500000,1,3,1,12.346,1,2,1
-1,10,0.123457,0,0,0,0.000,0,0,0
+scan,active_pms,mean_utilization,overloaded_pms,migrations,slo_violations,energy_wh,pm_failures,evacuations,failed_migrations,offline_vms
+0,2,0.500000,1,3,1,12.346,1,2,1,4
+1,10,0.123457,0,0,0,0.000,0,0,0,0
 ";
         assert_eq!(String::from_utf8(buf).unwrap(), expected);
     }

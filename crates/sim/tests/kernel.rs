@@ -223,9 +223,9 @@ fn kernel_reproduces_scan_loop_goldens_bit_identically() {
 /// finds nothing; the always-recorded series reconciles with the
 /// outcome; the event trace is totally ordered and reconciles with the
 /// kernel stats.
-/// `all` exercises every event class. `none` (the paper path) and
-/// `trace-noise` (non-zero SLO) crash no PM, so no VM is ever offline
-/// and the series' SLO ratio is exactly the outcome's.
+/// `all` exercises every event class and takes VMs offline. `none` (the
+/// paper path) and `trace-noise` (non-zero SLO) crash no PM, so no VM is
+/// ever offline.
 #[test]
 fn run_records_consistently_and_audit_changes_nothing() {
     let (sim, wl) = reference_setup();
@@ -271,20 +271,19 @@ fn run_records_consistently_and_audit_changes_nothing() {
         assert_eq!(failures, o.pm_failures, "{name}");
         let evacuations: usize = ts.samples().iter().map(|s| s.evacuations).sum();
         assert_eq!(evacuations, o.evacuations, "{name}");
-        // The series counts active PMs only. The outcome also counts each
-        // offline VM (awaiting evacuation) as one violating sample, which
-        // can only raise the ratio; with nothing offline they agree.
+        // Each offline VM (awaiting evacuation) is one violating sample
+        // in the outcome; with the series' `offline_vms` column the SLO
+        // ratio reconciles exactly on every preset.
         let slo: usize = ts.samples().iter().map(|s| s.slo_violations).sum();
         let active: usize = ts.samples().iter().map(|s| s.active_pms).sum();
-        let pct = 100.0 * slo as f64 / active as f64;
-        if o.pm_failures == 0 {
-            assert!(
-                (pct - o.slo_violation_pct).abs() < 1e-9,
-                "{name}: {pct} vs {o:?}"
-            );
-        } else {
-            assert!(pct <= o.slo_violation_pct, "{name}: {pct} vs {o:?}");
-        }
+        let offline: usize = ts.samples().iter().map(|s| s.offline_vms).sum();
+        assert_eq!(offline > 0, o.pm_failures > 0, "{name}: offline VMs");
+        let pct = 100.0 * (slo + offline) as f64 / (active + offline) as f64;
+        assert_eq!(
+            pct.to_bits(),
+            o.slo_violation_pct.to_bits(),
+            "{name}: {pct} vs {o:?}"
+        );
 
         // The event trace and the kernel stats.
         let (trace, stats) = (&plain.events, plain.stats);

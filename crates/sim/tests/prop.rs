@@ -13,11 +13,11 @@ use prvm_traces::TraceKind;
 fn arb_sample() -> impl Strategy<Value = ScanSample> {
     (
         (0usize..5000, 0usize..200, 0.0f64..1.0, 0usize..60),
-        (0usize..40, 0usize..60, 0.0f64..5000.0),
+        (0usize..40, 0usize..60, 0.0f64..5000.0, 0usize..20),
     )
         .prop_map(
             |((scan, active_pms, mean_utilization, overloaded_pms), rest)| {
-                let (migrations, slo_violations, energy_wh) = rest;
+                let (migrations, slo_violations, energy_wh, offline_vms) = rest;
                 ScanSample {
                     scan,
                     active_pms,
@@ -29,6 +29,7 @@ fn arb_sample() -> impl Strategy<Value = ScanSample> {
                     pm_failures: 0,
                     evacuations: 0,
                     failed_migrations: 0,
+                    offline_vms,
                 }
             },
         )

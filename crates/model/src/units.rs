@@ -202,6 +202,15 @@ pub mod convert {
         n as u64
     }
 
+    /// Narrow a `u64` id to a `usize` index, `None` if it does not fit
+    /// (only possible on targets with pointers narrower than 64 bits).
+    /// Used to index dense per-VM buffers by [`crate::VmId`].
+    #[inline]
+    #[must_use]
+    pub fn u64_to_usize(n: u64) -> Option<usize> {
+        usize::try_from(n).ok()
+    }
+
     /// A `usize` count as an `f64` (means, fractions, rates). Counts in
     /// this workspace are far below 2^53, so the conversion is exact.
     #[inline]
@@ -303,6 +312,13 @@ mod tests {
         use super::convert::*;
         assert_eq!(u32_to_usize(u32::MAX), u32::MAX as usize);
         assert_eq!(usize_to_u64(0), 0);
+        assert_eq!(u64_to_usize(0), Some(0));
+        assert_eq!(u64_to_usize(4096), Some(4096));
+        assert_eq!(
+            u64_to_usize(u64::MAX),
+            usize::try_from(u64::MAX).ok(),
+            "fits exactly when usize is 64 bits wide"
+        );
         assert_eq!(usize_to_f64(4096), 4096.0);
         assert_eq!(u64_to_f64(1 << 52), (1u64 << 52) as f64);
         assert_eq!(u64_to_u16_saturating(65535), u16::MAX);

@@ -26,7 +26,6 @@ use prvm_model::{Cluster, EvictionPolicy, Mhz, PlacementAlgorithm, PmId, VmId, V
 use prvm_obs::{event, Span};
 use prvm_traces::Trace;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Everything one simulated run produces.
@@ -80,6 +79,36 @@ pub struct SimOutcome {
 fn live_demand(vcpus: u64, vcpu_mhz: Mhz, host_core_mhz: Mhz, util: f64, burst: f64) -> Mhz {
     let per_vcpu = (vcpu_mhz.as_f64() * burst).min(host_core_mhz.as_f64());
     Mhz::from_f64_rounded(util * per_vcpu * convert::u64_to_f64(vcpus))
+}
+
+/// What a placed VM's demand is computed from at each scan: its shape
+/// and its utilization trace, borrowed from the workload's library.
+#[derive(Debug, Clone, Copy)]
+struct VmLoad<'a> {
+    vcpus: u64,
+    vcpu_mhz: Mhz,
+    trace: &'a Trace,
+}
+
+/// One PM's scan state. `curve` is resolved once per run; `demand` and
+/// `overloaded` are zeroed at the start of every scan.
+#[derive(Debug, Clone, Copy)]
+struct PmScan {
+    curve: PowerCurve,
+    demand: Mhz,
+    overloaded: bool,
+}
+
+/// `id`'s index into the dense per-VM buffers.
+fn vm_slot(id: VmId) -> Option<usize> {
+    convert::u64_to_usize(id.0)
+}
+
+/// `id`'s demand this scan; zero for a VM the scan did not evaluate.
+fn scan_demand_of(scan_demand: &[Mhz], id: VmId) -> Mhz {
+    vm_slot(id)
+        .and_then(|slot| scan_demand.get(slot).copied())
+        .unwrap_or(Mhz::ZERO)
 }
 
 /// A VM knocked off a crashed PM, waiting for a successful re-placement.
@@ -183,6 +212,15 @@ impl Scenario {
         // against the simulated clock. Handles are resolved once,
         // outside the run.
         let registry = prvm_obs::Registry::global();
+        let pm_scan = cluster
+            .pms()
+            .iter()
+            .map(|pm| PmScan {
+                curve: PowerCurve::for_pm_type(&pm.spec().name),
+                demand: Mhz::ZERO,
+                overloaded: false,
+            })
+            .collect();
         let mut driver = ScanDriver {
             sim,
             scans,
@@ -194,7 +232,10 @@ impl Scenario {
             departures: self.departures,
             series: TimeSeries::new(),
             auditor: self.audit.then(AuditReport::default),
-            vm_demand: HashMap::new(),
+            vm_load: Vec::new(),
+            scan_demand: Vec::new(),
+            pm_scan,
+            overloaded: Vec::new(),
             pending_evacs: Vec::new(),
             totals: Totals::default(),
             last: Totals::default(),
@@ -442,6 +483,10 @@ struct StagedScan {
 /// The component driving the compatibility scenario: owns the cluster
 /// and all accounting state, reacts to [`SimEvent`]s. Handlers run on
 /// the kernel thread and never block (lint rule D005).
+///
+/// Scan state is dense: per-VM buffers are indexed by [`VmId`], per-PM
+/// buffers by [`PmId`]. They are sized once per run and reset at each
+/// scan, never rebuilt.
 struct ScanDriver<'a> {
     sim: &'a SimConfig,
     scans: usize,
@@ -453,7 +498,16 @@ struct ScanDriver<'a> {
     departures: Option<DepartureModel>,
     series: TimeSeries,
     auditor: Option<AuditReport>,
-    vm_demand: HashMap<VmId, (u64, Mhz, Trace)>,
+    /// Every placed VM's load, by VM id: set on arrival, cleared on
+    /// departure. A crash keeps it: evacuees are re-placed under their
+    /// old id.
+    vm_load: Vec<Option<VmLoad<'a>>>,
+    /// Each VM's demand this scan, by VM id (zero when not evaluated).
+    scan_demand: Vec<Mhz>,
+    /// Power curve, demand and overload flag, by PM id.
+    pm_scan: Vec<PmScan>,
+    /// This scan's overloaded PMs in `used_pms()` order.
+    overloaded: Vec<PmId>,
     pending_evacs: Vec<PendingEvac>,
     totals: Totals,
     last: Totals,
@@ -482,14 +536,15 @@ impl EventHandler<SimEvent> for ScanDriver<'_> {
     }
 }
 
-impl ScanDriver<'_> {
+impl<'a> ScanDriver<'a> {
     /// Initial allocation (Algorithm 2 driver). Under churn, each
     /// placed VM also gets a departure event at its drawn lifetime.
     fn on_arrivals(&mut self, kernel: &mut Kernel<SimEvent>) {
         let placement_span = Span::enter("placement");
-        let mut specs = self.workload.specs.clone();
+        let workload: &'a Workload = self.workload;
+        let mut specs = workload.specs.clone();
         self.placer.order_batch(&mut specs);
-        let traces = self.workload.draw_traces(specs.len());
+        let traces = workload.draw_traces(specs.len());
         let lifetimes = self
             .departures
             .map(|m| self.workload.draw_lifetimes(specs.len(), &m));
@@ -497,10 +552,14 @@ impl ScanDriver<'_> {
         for (idx, (spec, trace)) in specs.into_iter().zip(traces).enumerate() {
             match self.placer.choose(&self.cluster, &spec, &|_| false) {
                 Some(d) => {
-                    let shape = (u64::from(spec.vcpus), spec.vcpu_mhz);
+                    let load = VmLoad {
+                        vcpus: u64::from(spec.vcpus),
+                        vcpu_mhz: spec.vcpu_mhz,
+                        trace,
+                    };
                     match self.cluster.place(d.pm, spec, d.assignment) {
                         Ok(id) => {
-                            self.vm_demand.insert(id, (shape.0, shape.1, trace));
+                            self.register_load(id, load);
                             if let Some(lifetimes) = &lifetimes {
                                 if let Some(&life_s) = lifetimes.get(idx) {
                                     if life_s < self.sim.horizon_s {
@@ -532,6 +591,20 @@ impl ScanDriver<'_> {
             .field("rejected", self.totals.rejected)
             .field("active_pms", self.pms_used_initial)
             .emit();
+    }
+
+    /// Record `id`'s load in its slot, growing the per-VM buffer to fit.
+    fn register_load(&mut self, id: VmId, load: VmLoad<'a>) {
+        let Some(slot) = vm_slot(id) else {
+            debug_assert!(false, "VM id {} does not fit a usize index", id.0);
+            return;
+        };
+        if slot >= self.vm_load.len() {
+            self.vm_load.resize(slot + 1, None);
+        }
+        if let Some(entry) = self.vm_load.get_mut(slot) {
+            *entry = Some(load);
+        }
     }
 
     fn on_pm_recover(&mut self, pm_idx: usize, scan: usize) {
@@ -655,7 +728,9 @@ impl ScanDriver<'_> {
             present = self.pending_evacs.len() != before;
         }
         if present {
-            self.vm_demand.remove(&vm);
+            if let Some(entry) = vm_slot(vm).and_then(|slot| self.vm_load.get_mut(slot)) {
+                *entry = None;
+            }
             self.totals.departures += 1;
             prvm_obs::counter!("sim.departures");
             event("sim.vm_departure")
@@ -675,7 +750,10 @@ impl ScanDriver<'_> {
             placer,
             evictor,
             clock,
-            vm_demand,
+            vm_load,
+            scan_demand,
+            pm_scan,
+            overloaded,
             auditor,
             totals,
             staged,
@@ -690,34 +768,55 @@ impl ScanDriver<'_> {
         // series only, never the simulated clock or placement decisions.
         *scan_started = Some(prvm_obs::timeline::stamp());
 
+        // Reset the scan buffers: a PM or VM the sweep below skips has
+        // zero demand and is not overloaded.
+        scan_demand.clear();
+        scan_demand.resize(vm_load.len(), Mhz::ZERO);
+        for state in pm_scan.iter_mut() {
+            state.demand = Mhz::ZERO;
+            state.overloaded = false;
+        }
+        overloaded.clear();
+
         // Per-PM aggregate demand, per-VM scan demand, SLO and energy
-        // staging. Each VM's demand is evaluated against its host's
-        // core speed (the burst ceiling).
-        let mut pm_demand: HashMap<PmId, Mhz> = HashMap::new();
-        let mut scan_demand: HashMap<VmId, Mhz> = HashMap::new();
+        // staging, overload detection. Each VM's demand is evaluated
+        // against its host's core speed (the burst ceiling). The f64
+        // sums fold in `used_pms()` order. The overloaded set is fixed
+        // before migrations, so an overloaded PM is never chosen as a
+        // destination this scan.
         let mut scan_active = 0usize;
         let mut scan_slo = 0usize;
         let mut scan_energy_wh = 0.0f64;
         let mut scan_util_sum = 0.0f64;
         for pm_id in cluster.used_pms() {
+            // One PmScan per cluster PM was built with the driver, so a
+            // used PM always has one; skip-and-assert rather than panic
+            // (P001).
+            let Some(state) = pm_scan.get_mut(pm_id.0) else {
+                debug_assert!(false, "PM {pm_id:?} has no scan state");
+                continue;
+            };
             let pm = cluster.pm(pm_id);
             let core = pm.spec().core_mhz;
             let mut demand = Mhz::ZERO;
             for (id, _, _) in pm.vms() {
-                // Every placed VM was registered in vm_demand up front;
-                // a miss would be an accounting bug, so skip-and-assert
-                // rather than panic (P001).
-                let Some((vcpus, vcpu_mhz, trace)) = vm_demand.get(&id) else {
-                    debug_assert!(false, "VM {id:?} placed but absent from vm_demand");
+                // Every placed VM was registered in vm_load up front; a
+                // miss would be an accounting bug.
+                let registered = vm_slot(id)
+                    .and_then(|slot| Some((slot, vm_load.get(slot).copied().flatten()?)));
+                let Some((slot, load)) = registered else {
+                    debug_assert!(false, "VM {id:?} placed but absent from vm_load");
                     continue;
                 };
                 // A corrupted read replaces the recorded utilization with
                 // deterministic garbage (no-op without a fault plan).
                 let util = clock
                     .corrupt_utilization(t, id.0)
-                    .unwrap_or_else(|| trace.at(t));
-                let d = live_demand(*vcpus, *vcpu_mhz, core, util, sim.burst_factor);
-                scan_demand.insert(id, d);
+                    .unwrap_or_else(|| load.trace.at(t));
+                let d = live_demand(load.vcpus, load.vcpu_mhz, core, util, sim.burst_factor);
+                if let Some(entry) = scan_demand.get_mut(slot) {
+                    *entry = d;
+                }
                 demand += d;
             }
             let cap = pm.spec().total_cpu();
@@ -727,29 +826,17 @@ impl ScanDriver<'_> {
             if util >= sim.slo_threshold {
                 scan_slo += 1;
             }
-            scan_energy_wh += PowerCurve::for_pm_type(&pm.spec().name)
-                .energy_wh(util, sim.scan_interval_s as f64);
-            pm_demand.insert(pm_id, demand);
+            scan_energy_wh += state.curve.energy_wh(util, sim.scan_interval_s as f64);
+            state.demand = demand;
+            if util > sim.overload_threshold {
+                state.overloaded = true;
+                overloaded.push(pm_id);
+            }
         }
-
-        // Overload detection: the set is fixed before migrations so an
-        // overloaded PM is never chosen as a destination this scan.
-        let overloaded: Vec<PmId> = cluster
-            .used_pms()
-            .filter(|pm_id| {
-                let cap = cluster.pm(*pm_id).spec().total_cpu();
-                // Populated for every used PM in the demand sweep above;
-                // a missing entry means zero demand, never overload.
-                pm_demand
-                    .get(pm_id)
-                    .is_some_and(|d| d.fraction_of(cap) > sim.overload_threshold)
-            })
-            .collect();
         if !overloaded.is_empty() {
             totals.overload_events += 1;
             prvm_obs::counter!("sim.overload_events");
         }
-        let overloaded_set: std::collections::HashSet<PmId> = overloaded.iter().copied().collect();
         // Offline VMs (awaiting evacuation, or abandoned this scan) are
         // not serving: each is one violating sample, folded in at the
         // same-instant Sample event.
@@ -762,23 +849,23 @@ impl ScanDriver<'_> {
             offline: *scan_offline,
         };
 
-        for src in overloaded {
+        for &src in overloaded.iter() {
             loop {
                 let cap = cluster.pm(src).spec().total_cpu();
-                let Some(current) = pm_demand.get(&src).copied() else {
-                    debug_assert!(false, "overloaded PM {src:?} absent from pm_demand");
+                let Some(current) = pm_scan.get(src.0).map(|state| state.demand) else {
+                    debug_assert!(false, "overloaded PM {src:?} has no scan state");
                     break;
                 };
                 if current.fraction_of(cap) <= sim.overload_threshold || cluster.pm(src).is_empty()
                 {
                     break;
                 }
-                let Some(victim) = evictor.select(cluster.pm(src), &|id| {
-                    scan_demand.get(&id).copied().unwrap_or(Mhz::ZERO)
-                }) else {
+                let Some(victim) =
+                    evictor.select(cluster.pm(src), &|id| scan_demand_of(scan_demand, id))
+                else {
                     break;
                 };
-                let victim_demand = scan_demand.get(&victim).copied().unwrap_or(Mhz::ZERO);
+                let victim_demand = scan_demand_of(scan_demand, victim);
                 let Ok((_, spec, old_assignment)) = cluster.remove(victim) else {
                     debug_assert!(false, "evictor selected a non-resident VM {}", victim.0);
                     break;
@@ -787,12 +874,14 @@ impl ScanDriver<'_> {
                 // Destination must not be the source, must not already be
                 // overloaded, and must not *become* overloaded by this VM.
                 let exclude = |pm: PmId| -> bool {
-                    if pm == src || overloaded_set.contains(&pm) {
+                    let (demand, is_overloaded) = pm_scan
+                        .get(pm.0)
+                        .map_or((Mhz::ZERO, false), |state| (state.demand, state.overloaded));
+                    if pm == src || is_overloaded {
                         return true;
                     }
                     let cap = cluster.pm(pm).spec().total_cpu();
-                    let d = pm_demand.get(&pm).copied().unwrap_or(Mhz::ZERO);
-                    (d + victim_demand).fraction_of(cap) > sim.overload_threshold
+                    (demand + victim_demand).fraction_of(cap) > sim.overload_threshold
                 };
                 let destination = placer.choose(cluster, &spec, &exclude);
                 let mut in_flight_failure = false;
@@ -823,9 +912,11 @@ impl ScanDriver<'_> {
                 if migrated {
                     let Some(d) = destination else { break };
                     totals.migrations += 1;
-                    *pm_demand.entry(d.pm).or_insert(Mhz::ZERO) += victim_demand;
-                    if let Some(src_demand) = pm_demand.get_mut(&src) {
-                        *src_demand = current.saturating_sub(victim_demand);
+                    if let Some(dest) = pm_scan.get_mut(d.pm.0) {
+                        dest.demand += victim_demand;
+                    }
+                    if let Some(source) = pm_scan.get_mut(src.0) {
+                        source.demand = current.saturating_sub(victim_demand);
                     }
                 } else {
                     // Nowhere to go (or the attempt failed in flight):

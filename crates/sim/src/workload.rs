@@ -72,13 +72,13 @@ impl Workload {
     }
 
     /// Draw one trace per VM (call after any batch reordering — trace
-    /// assignment is random, so the association is exchangeable).
+    /// assignment is random, so the association is exchangeable). The
+    /// traces are borrowed from [`Workload::library`]; VMs that draw the
+    /// same trace share it.
     #[must_use]
-    pub fn draw_traces(&self, count: usize) -> Vec<Trace> {
+    pub fn draw_traces(&self, count: usize) -> Vec<&Trace> {
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x51ed);
-        (0..count)
-            .map(|_| self.library.choose(&mut rng).clone())
-            .collect()
+        (0..count).map(|_| self.library.choose(&mut rng)).collect()
     }
 
     /// Draw one lifetime per VM from `model`, in seconds. Deterministic

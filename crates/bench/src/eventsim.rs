@@ -178,23 +178,10 @@ impl EventSimReport {
     ///
     /// Reports filesystem or JSON failures as a message.
     pub fn merge_into(&self, path: &Path) -> Result<(), String> {
-        let mut doc = match std::fs::read_to_string(path) {
-            Ok(text) => serde_json::from_str::<serde::Value>(&text)
-                .map_err(|e| format!("{} is not JSON: {e:?}", path.display()))?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => serde::Value::Object(Vec::new()),
-            Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
-        };
-        let serde::Value::Object(pairs) = &mut doc else {
-            return Err(format!(
-                "{} is not a JSON object; refusing to clobber it",
-                path.display()
-            ));
-        };
-        pairs.retain(|(k, _)| k != EVENTSIM_KEY);
-        pairs.push((EVENTSIM_KEY.to_string(), serde::Serialize::to_value(self)));
-        let json = serde_json::to_string_pretty(&doc)
-            .map_err(|e| format!("cannot serialize report: {e}"))?;
-        std::fs::write(path, json).map_err(|e| format!("cannot write {}: {e}", path.display()))
+        crate::merge_json_keys(
+            path,
+            vec![(EVENTSIM_KEY.to_string(), serde::Serialize::to_value(self))],
+        )
     }
 }
 

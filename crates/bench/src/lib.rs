@@ -18,7 +18,7 @@ use prvm_testbed::{run_testbed, TestbedConfig, TestbedOutcome};
 use prvm_traces::stats::Percentiles;
 use prvm_traces::TraceKind;
 use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -105,6 +105,40 @@ impl CliArgs {
             std::process::exit(2);
         })
     }
+}
+
+/// Write `keys` as top-level keys of the JSON object at `path`, keeping
+/// every other key there: a key already present is replaced where it
+/// stands, a new one is appended. An absent file becomes a fresh object.
+/// This is how the perf sweep and the `event_sim` / `serve_loadgen`
+/// cells share `BENCH_PRVM.json` without dropping each other.
+///
+/// # Errors
+///
+/// Reports filesystem or JSON failures as a message, and refuses to
+/// overwrite a file that holds JSON other than an object.
+pub fn merge_json_keys(path: &Path, keys: Vec<(String, serde::Value)>) -> Result<(), String> {
+    let mut doc = match std::fs::read_to_string(path) {
+        Ok(text) => serde_json::from_str::<serde::Value>(&text)
+            .map_err(|e| format!("{} is not JSON: {e:?}", path.display()))?,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => serde::Value::Object(Vec::new()),
+        Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
+    };
+    let serde::Value::Object(pairs) = &mut doc else {
+        return Err(format!(
+            "{} is not a JSON object; refusing to clobber it",
+            path.display()
+        ));
+    };
+    for (key, value) in keys {
+        match pairs.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, slot)) => *slot = value,
+            None => pairs.push((key, value)),
+        }
+    }
+    let json =
+        serde_json::to_string_pretty(&doc).map_err(|e| format!("cannot serialize report: {e}"))?;
+    std::fs::write(path, json).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 fn cache_dir() -> PathBuf {

@@ -297,15 +297,19 @@ impl PerfReport {
         Ok(())
     }
 
-    /// Serialize to pretty JSON and write to `path`.
+    /// Write this report's fields as pretty JSON to `path`. Every other
+    /// top-level key of an existing JSON object there (the `event_sim`
+    /// and `serve_loadgen` cells) is kept; see [`crate::merge_json_keys`].
     ///
     /// # Errors
     ///
-    /// Reports serialization or filesystem failures as a message.
+    /// Reports serialization or filesystem failures as a message, and
+    /// refuses to overwrite a file that holds JSON other than an object.
     pub fn write(&self, path: &std::path::Path) -> Result<(), String> {
-        let json =
-            serde_json::to_vec_pretty(self).map_err(|e| format!("cannot serialize report: {e}"))?;
-        std::fs::write(path, json).map_err(|e| format!("cannot write {}: {e}", path.display()))
+        let serde::Value::Object(fields) = serde::Serialize::to_value(self) else {
+            return Err("a perf report must serialize to a JSON object".into());
+        };
+        crate::merge_json_keys(path, fields)
     }
 
     /// Load a report from `path` and [`Self::validate`] it.
@@ -1101,6 +1105,35 @@ mod tests {
         let mut bad = good;
         bad.rows[0].threads = 8; // not in thread_counts
         assert!(bad.validate().is_err());
+    }
+
+    /// `bench --out BENCH_PRVM.json` rewrites the perf fields and keeps
+    /// the cells other binaries merged in: an `event_sim` object already
+    /// in the file comes back unchanged, and the result still loads.
+    #[test]
+    fn write_keeps_foreign_top_level_keys() {
+        let dir = std::env::temp_dir().join(format!("prvm-perf-keep-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_PRVM.json");
+        let cell = r#"{"schema": "prvm-event-sim/v1", "vms": 200, "events_per_sec": 72598.5}"#;
+        std::fs::write(&path, format!(r#"{{"seed": 7, "event_sim": {cell}}}"#)).unwrap();
+        let event_sim: serde::Value = serde_json::from_str(cell).unwrap();
+
+        let report = tiny_report();
+        report.write(&path).unwrap();
+        let doc: serde::Value =
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(doc.field("event_sim").unwrap(), &event_sim);
+        let reloaded = PerfReport::load(&path).unwrap();
+        assert_eq!(reloaded.seed, report.seed, "the report's own keys win");
+        assert_eq!(reloaded.rows.len(), report.rows.len());
+
+        // A second write replaces the perf keys and still keeps the cell.
+        report.write(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text.matches("\"event_sim\"").count(), 1);
+        assert_eq!(text.matches("\"rows\"").count(), 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

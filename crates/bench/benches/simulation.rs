@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use prvm_sim::{
     build_cluster, ec2_score_book, simulate, Algorithm, SimConfig, Workload, WorkloadConfig,
 };
-use prvm_testbed::{run_testbed, TestbedConfig};
+use prvm_testbed::{run_testbed, FaultPlan, TestbedConfig};
 use prvm_traces::TraceKind;
 use std::sync::Arc;
 
@@ -50,7 +50,14 @@ fn bench_testbed(c: &mut Criterion) {
         g.bench_function(algo.name(), |b| {
             b.iter(|| {
                 let (mut placer, mut evictor) = algo.build(&book, 5);
-                run_testbed(&cfg, 100, placer.as_mut(), evictor.as_mut(), 5)
+                run_testbed(
+                    &cfg,
+                    100,
+                    placer.as_mut(),
+                    evictor.as_mut(),
+                    5,
+                    &FaultPlan::none(),
+                )
             });
         });
     }

@@ -539,7 +539,14 @@ pub fn testbed(args: &[String]) -> Result<(), String> {
     };
     let book = Arc::new(cfg.score_book().map_err(|e| e.to_string())?);
     let (mut placer, mut evictor) = algorithm.build(&book, seed);
-    let o = run_testbed(&cfg, jobs, placer.as_mut(), evictor.as_mut(), seed);
+    let o = run_testbed(
+        &cfg,
+        jobs,
+        placer.as_mut(),
+        evictor.as_mut(),
+        seed,
+        &FaultPlan::none(),
+    );
     println!(
         "{} on the emulated GENI testbed ({} nodes, {} min, {jobs} jobs, seed {seed}):",
         algorithm.name(),

@@ -23,12 +23,12 @@
 //! dynamics.
 //!
 //! ```no_run
-//! use prvm_testbed::{run_testbed, TestbedConfig};
+//! use prvm_testbed::{run_testbed, FaultPlan, TestbedConfig};
 //! use prvm_baselines::{FirstFit, MinimumMigrationTime};
 //!
 //! let cfg = TestbedConfig::default();
 //! let outcome = run_testbed(&cfg, 200, &mut FirstFit::new(),
-//!                           &mut MinimumMigrationTime::new(), 42);
+//!                           &mut MinimumMigrationTime::new(), 42, &FaultPlan::none());
 //! println!("nodes used: {}", outcome.pms_used);
 //! ```
 
@@ -38,7 +38,7 @@ pub mod controller;
 pub mod messages;
 pub mod node;
 
-pub use controller::{run_testbed, run_testbed_faulty, ControllerError};
+pub use controller::{run_testbed, ControllerError};
 pub use messages::{JobHandle, ToController, ToNode};
 pub use node::NodeAgent;
 pub use prvm_faults::{AgentFault, FaultPlan, StallWindow};

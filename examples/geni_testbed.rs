@@ -8,7 +8,7 @@
 
 use pagerankvm::{PageRankEviction, PageRankVmPlacer};
 use prvm_baselines::{FirstFit, MinimumMigrationTime};
-use prvm_testbed::{run_testbed, TestbedConfig};
+use prvm_testbed::{run_testbed, FaultPlan, TestbedConfig};
 use std::error::Error;
 use std::sync::Arc;
 
@@ -39,7 +39,14 @@ fn main() -> Result<(), Box<dyn Error>> {
         // PageRankVM with its own eviction rule.
         let mut placer = PageRankVmPlacer::new(book.clone());
         let mut evictor = PageRankEviction::new(book.clone());
-        let o = run_testbed(&cfg, jobs, &mut placer, &mut evictor, 42);
+        let o = run_testbed(
+            &cfg,
+            jobs,
+            &mut placer,
+            &mut evictor,
+            42,
+            &FaultPlan::none(),
+        );
         println!(
             "{:<12} {:>6} {:>11} {:>11} {:>12} {:>8.2}",
             "PageRankVM", jobs, o.pms_used_initial, o.pms_used, o.migrations, o.slo_violation_pct
@@ -48,7 +55,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         // First fit with CloudSim's MMT eviction.
         let mut ff = FirstFit::new();
         let mut mmt = MinimumMigrationTime::new();
-        let o = run_testbed(&cfg, jobs, &mut ff, &mut mmt, 42);
+        let o = run_testbed(&cfg, jobs, &mut ff, &mut mmt, 42, &FaultPlan::none());
         println!(
             "{:<12} {:>6} {:>11} {:>11} {:>12} {:>8.2}",
             "FF", jobs, o.pms_used_initial, o.pms_used, o.migrations, o.slo_violation_pct

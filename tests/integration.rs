@@ -7,7 +7,7 @@ use prvm_baselines::{CompVm, FfdSum, FirstFit, MinimumMigrationTime};
 use prvm_model::{catalog, place_batch, Cluster, PlacementAlgorithm, Quantizer};
 use prvm_sim::{build_cluster, simulate, Algorithm, SimConfig, Workload, WorkloadConfig};
 use prvm_solver::{solve_min_pms, SolverConfig};
-use prvm_testbed::{run_testbed, TestbedConfig};
+use prvm_testbed::{run_testbed, FaultPlan, TestbedConfig};
 use prvm_traces::TraceKind;
 use std::sync::Arc;
 
@@ -164,11 +164,11 @@ fn testbed_and_placer_agree_on_anti_collocation_shapes() {
     let book = Arc::new(cfg.score_book().expect("testbed graph builds"));
     let mut placer = PageRankVmPlacer::new(book.clone());
     let mut evictor = PageRankEviction::new(book);
-    let pr = run_testbed(&cfg, 120, &mut placer, &mut evictor, 9);
+    let pr = run_testbed(&cfg, 120, &mut placer, &mut evictor, 9, &FaultPlan::none());
 
     let mut ff = FirstFit::new();
     let mut mmt = MinimumMigrationTime::new();
-    let ffo = run_testbed(&cfg, 120, &mut ff, &mut mmt, 9);
+    let ffo = run_testbed(&cfg, 120, &mut ff, &mut mmt, 9, &FaultPlan::none());
 
     assert_eq!(pr.rejected_jobs, 0);
     assert_eq!(ffo.rejected_jobs, 0);

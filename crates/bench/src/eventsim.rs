@@ -254,7 +254,7 @@ pub fn run(args: &EventSimArgs) -> Result<EventSimReport, String> {
 /// Propagates run, validation and merge failures as messages.
 pub fn main_with(args: &EventSimArgs) -> Result<(), String> {
     let report = run(args)?;
-    println!(
+    crate::report_line(format_args!(
         "event-sim: {} VMs, {} scans, preset {} — {} events dispatched \
          (peak queue {}) in {:.1} ms best-of-{} = {:.0} events/s",
         report.vms,
@@ -265,10 +265,13 @@ pub fn main_with(args: &EventSimArgs) -> Result<(), String> {
         report.best_elapsed_ms,
         report.repeats,
         report.events_per_sec,
-    );
+    ))?;
     if let Some(path) = &args.out {
         report.merge_into(path)?;
-        println!("merged under {EVENTSIM_KEY:?} into {}", path.display());
+        crate::report_line(format_args!(
+            "merged under {EVENTSIM_KEY:?} into {}",
+            path.display()
+        ))?;
     }
     Ok(())
 }

@@ -425,7 +425,7 @@ pub fn run(args: &LoadGenArgs) -> Result<LoadGenReport, String> {
 pub fn main_with(args: &LoadGenArgs) -> Result<(), String> {
     let report = run(args)?;
     report.validate()?;
-    println!(
+    crate::report_line(format_args!(
         "[loadgen] {} request(s) over {} connection(s) in {:.0}ms: {:.0} req/s, \
          p50={:.2}ms p90={:.2}ms p99={:.2}ms max={:.2}ms \
          (placed={} evicted={} migrated={} stats={} shed={} timeouts={} rejected={})",
@@ -444,14 +444,14 @@ pub fn main_with(args: &LoadGenArgs) -> Result<(), String> {
         report.shed,
         report.timeouts,
         report.rejected,
-    );
+    ))?;
     if let Some(path) = &args.out {
         report.merge_into(path)?;
-        println!(
+        crate::report_line(format_args!(
             "[loadgen] merged under {:?} in {}",
             LOADGEN_KEY,
             path.display()
-        );
+        ))?;
     }
     Ok(())
 }

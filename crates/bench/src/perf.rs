@@ -793,14 +793,14 @@ fn run_traced(args: &PerfArgs) -> Result<PerfReport, String> {
 pub fn main_with(args: &PerfArgs) -> Result<(), String> {
     if let Some(path) = &args.check {
         let report = PerfReport::load(path)?;
-        println!(
+        crate::report_line(format_args!(
             "{}: valid {} report ({} rows, seed {}, {} repeats)",
             path.display(),
             report.schema,
             report.rows.len(),
             report.seed,
             report.repeats
-        );
+        ))?;
         return Ok(());
     }
     if let Some(path) = &args.check_trace {
@@ -810,12 +810,12 @@ pub fn main_with(args: &PerfArgs) -> Result<(), String> {
             .map_err(|e| format!("{} is not JSON: {e:?}", path.display()))?;
         let stats = prvm_obs::validate_chrome_trace(&value)
             .map_err(|e| format!("{}: invalid trace: {e}", path.display()))?;
-        println!(
+        crate::report_line(format_args!(
             "{}: valid trace ({} interval(s), {} worker track(s))",
             path.display(),
             stats.intervals,
             stats.worker_tracks
-        );
+        ))?;
         return Ok(());
     }
     if let Some(baseline_path) = &args.gate {
@@ -826,11 +826,11 @@ pub fn main_with(args: &PerfArgs) -> Result<(), String> {
         let mut regressed = 0usize;
         for row in &rows {
             let verdict = if row.regressed { "REGRESSED" } else { "ok" };
-            println!(
+            crate::report_line(format_args!(
                 "[gate] {:<11} vms={:<5} threads={} baseline={:9.2}ms fresh={:9.2}ms \
                  ratio={:5.2} {verdict}",
                 row.stage, row.vms, row.threads, row.baseline_ms, row.fresh_ms, row.ratio
-            );
+            ))?;
             regressed += usize::from(row.regressed);
         }
         if regressed > 0 {
@@ -841,12 +841,12 @@ pub fn main_with(args: &PerfArgs) -> Result<(), String> {
                 baseline_path.display()
             ));
         }
-        println!(
+        crate::report_line(format_args!(
             "perf gate passed: {} cell(s) within {:.0}% of {}",
             rows.len(),
             args.gate_threshold * 100.0,
             baseline_path.display()
-        );
+        ))?;
         // Gate runs never write --out: the default out path is the
         // committed baseline itself.
         return Ok(());
@@ -854,12 +854,12 @@ pub fn main_with(args: &PerfArgs) -> Result<(), String> {
     let report = run_traced(args)?;
     report.validate()?;
     report.write(&args.out)?;
-    println!(
+    crate::report_line(format_args!(
         "wrote {} ({} rows; host has {} hardware thread(s))",
         args.out.display(),
         report.rows.len(),
         report.host_threads
-    );
+    ))?;
     Ok(())
 }
 

@@ -6,7 +6,8 @@
 //! remaining resources after allocating the VM".
 
 use crate::{mean_variance, post_placement_profile};
-use prvm_model::{Cluster, PlacementAlgorithm, PlacementDecision, PmId, VmSpec};
+use prvm_model::{scan, Cluster, PlacementAlgorithm, PlacementDecision, PmId, VmSpec};
+use std::cmp::Reverse;
 
 /// Chooses the used PM with the *least* remaining normalised capacity after
 /// placement (tightest fit).
@@ -34,51 +35,20 @@ impl WorstFit {
     }
 }
 
-fn choose_by_mean(
+/// Algorithm 2 rating each used PM by its mean utilization after hosting
+/// `vm` on its first feasible assignment, ordered by `order`.
+fn scan_by_mean<S: PartialOrd>(
     cluster: &Cluster,
     vm: &VmSpec,
     exclude: &dyn Fn(PmId) -> bool,
-    highest: bool,
+    order: fn(f64) -> S,
 ) -> Option<PlacementDecision> {
-    let mut best: Option<(f64, PlacementDecision)> = None;
-    for pm in cluster.used_pms() {
-        if exclude(pm) {
-            continue;
-        }
-        let host = cluster.pm(pm);
-        if !host.has_aggregate_room(vm) {
-            continue;
-        }
-        let Some(assignment) = host.first_feasible(vm) else {
-            continue;
-        };
+    let found = scan(cluster, vm, exclude, |host, _| {
+        let assignment = host.first_feasible(vm)?;
         let (mean, _) = mean_variance(&post_placement_profile(host, vm, &assignment));
-        let better = match &best {
-            None => true,
-            Some((b, _)) => {
-                if highest {
-                    mean > *b
-                } else {
-                    mean < *b
-                }
-            }
-        };
-        if better {
-            best = Some((mean, PlacementDecision { pm, assignment }));
-        }
-    }
-    if let Some((_, d)) = best {
-        return Some(d);
-    }
-    cluster
-        .unused_pms()
-        .filter(|&pm| !exclude(pm))
-        .find_map(|pm| {
-            cluster
-                .pm(pm)
-                .first_feasible(vm)
-                .map(|assignment| PlacementDecision { pm, assignment })
-        })
+        Some((order(mean), assignment))
+    });
+    found.map(|(_, decision)| decision)
 }
 
 impl PlacementAlgorithm for BestFit {
@@ -92,7 +62,7 @@ impl PlacementAlgorithm for BestFit {
         vm: &VmSpec,
         exclude: &dyn Fn(PmId) -> bool,
     ) -> Option<PlacementDecision> {
-        choose_by_mean(cluster, vm, exclude, true)
+        scan_by_mean(cluster, vm, exclude, |mean| mean)
     }
 }
 
@@ -107,7 +77,7 @@ impl PlacementAlgorithm for WorstFit {
         vm: &VmSpec,
         exclude: &dyn Fn(PmId) -> bool,
     ) -> Option<PlacementDecision> {
-        choose_by_mean(cluster, vm, exclude, false)
+        scan_by_mean(cluster, vm, exclude, Reverse)
     }
 }
 

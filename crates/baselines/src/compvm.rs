@@ -10,7 +10,8 @@
 //! claim.
 
 use crate::{mean_variance, post_placement_profile};
-use prvm_model::{Cluster, PlacementAlgorithm, PlacementDecision, PmId, VmSpec};
+use prvm_model::{scan, Cluster, PlacementAlgorithm, PlacementDecision, PmId, VmSpec};
+use std::cmp::Reverse;
 
 /// Variance-minimising consolidation placer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -35,42 +36,18 @@ impl PlacementAlgorithm for CompVm {
         vm: &VmSpec,
         exclude: &dyn Fn(PmId) -> bool,
     ) -> Option<PlacementDecision> {
-        // Best (lowest variance, then highest mean utilization) over every
-        // distinct assignment on every used PM.
-        let mut best: Option<(f64, f64, PlacementDecision)> = None;
-        for pm in cluster.used_pms() {
-            if exclude(pm) {
-                continue;
-            }
-            let host = cluster.pm(pm);
-            if !host.has_aggregate_room(vm) {
-                continue;
-            }
-            for assignment in host.distinct_feasible(vm) {
-                let profile = post_placement_profile(host, vm, &assignment);
-                let (mean, var) = mean_variance(&profile);
-                let better = match &best {
-                    None => true,
-                    Some((bv, bm, _)) => var < *bv || (var == *bv && mean > *bm),
-                };
-                if better {
-                    best = Some((var, mean, PlacementDecision { pm, assignment }));
-                }
-            }
-        }
-        if let Some((_, _, d)) = best {
-            return Some(d);
-        }
-        // No used PM fits: open the first unused PM that does.
-        cluster
-            .unused_pms()
-            .filter(|&pm| !exclude(pm))
-            .find_map(|pm| {
-                cluster
-                    .pm(pm)
-                    .first_feasible(vm)
-                    .map(|assignment| PlacementDecision { pm, assignment })
-            })
+        // Each used PM's best distinct assignment: lowest variance, then
+        // highest mean utilization, earliest among equals.
+        let found = scan(cluster, vm, exclude, |host, _| {
+            host.distinct_feasible(vm)
+                .into_iter()
+                .map(|assignment| {
+                    let (mean, var) = mean_variance(&post_placement_profile(host, vm, &assignment));
+                    ((Reverse(var), mean), assignment)
+                })
+                .reduce(|best, next| if next.0 > best.0 { next } else { best })
+        });
+        found.map(|(_, decision)| decision)
     }
 }
 

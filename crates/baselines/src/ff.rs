@@ -1,6 +1,6 @@
 //! First Fit (FF) — the Eucalyptus-style baseline \[27\].
 
-use prvm_model::{Cluster, PlacementAlgorithm, PlacementDecision, PmId, VmSpec};
+use prvm_model::{first_fit, Cluster, PlacementAlgorithm, PlacementDecision, PmId, VmSpec};
 
 /// Places each VM on the first PM (used list first, then unused) that has a
 /// feasible anti-collocated assignment.
@@ -26,18 +26,7 @@ impl PlacementAlgorithm for FirstFit {
         vm: &VmSpec,
         exclude: &dyn Fn(PmId) -> bool,
     ) -> Option<PlacementDecision> {
-        cluster
-            .used_pms()
-            .chain(cluster.unused_pms())
-            .filter(|&pm| !exclude(pm))
-            .find_map(|pm| {
-                let host = cluster.pm(pm);
-                if !host.has_aggregate_room(vm) {
-                    return None;
-                }
-                host.first_feasible(vm)
-                    .map(|assignment| PlacementDecision { pm, assignment })
-            })
+        first_fit(cluster, cluster.used_then_unused(), vm, exclude)
     }
 }
 

@@ -5,7 +5,7 @@
 //! dimension normalised by a reference PM's capacity. VMs are placed in
 //! order of decreasing size, each by first fit.
 
-use prvm_model::{Cluster, PlacementAlgorithm, PlacementDecision, PmId, PmSpec, VmSpec};
+use prvm_model::{first_fit, Cluster, PlacementAlgorithm, PlacementDecision, PmId, PmSpec, VmSpec};
 
 /// FFDSum: decreasing-size ordering over a first-fit placer.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,18 +48,7 @@ impl PlacementAlgorithm for FfdSum {
         vm: &VmSpec,
         exclude: &dyn Fn(PmId) -> bool,
     ) -> Option<PlacementDecision> {
-        cluster
-            .used_pms()
-            .chain(cluster.unused_pms())
-            .filter(|&pm| !exclude(pm))
-            .find_map(|pm| {
-                let host = cluster.pm(pm);
-                if !host.has_aggregate_room(vm) {
-                    return None;
-                }
-                host.first_feasible(vm)
-                    .map(|assignment| PlacementDecision { pm, assignment })
-            })
+        first_fit(cluster, cluster.used_then_unused(), vm, exclude)
     }
 }
 

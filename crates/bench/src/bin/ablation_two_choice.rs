@@ -6,20 +6,21 @@
 //! quantifies the claim, including larger poll sizes.
 
 use pagerankvm::{PageRankVmPlacer, TwoChoicePlacer};
-use prvm_bench::CliArgs;
+use prvm_bench::{report_line, CliArgs};
 use prvm_model::{catalog, place_batch, Cluster, PlacementAlgorithm};
 use prvm_sim::ec2_score_book;
+use std::num::NonZeroUsize;
 use std::time::Instant;
 
-fn main() {
+fn main() -> Result<(), String> {
     let args = CliArgs::from_env();
     let book = ec2_score_book().expect("EC2 catalog graph builds");
     let types = catalog::ec2_vm_types();
 
-    println!(
+    report_line(format_args!(
         "{:<22} {:>6} {:>10} {:>14}",
         "placer", "#VMs", "PMs used", "time/placement"
-    );
+    ))?;
     for &n in &args.vms {
         let vms: Vec<_> = (0..n)
             .map(|i| types[(i * 7) % types.len()].clone())
@@ -35,24 +36,27 @@ fn main() {
             let t0 = Instant::now();
             place_batch(placer, &mut cluster, vms.clone()).expect("pool sized");
             let per = t0.elapsed() / n as u32;
-            println!(
+            report_line(format_args!(
                 "{:<22} {:>6} {:>10} {:>14.1?}",
                 name,
                 n,
                 cluster.active_pm_count(),
                 per
-            );
+            ))
         };
         run(
             "exhaustive (Alg. 2)",
             &mut PageRankVmPlacer::new(book.clone()),
-        );
-        for poll in [2usize, 4, 8] {
+        )?;
+        for poll in [2, 4, 8].into_iter().filter_map(NonZeroUsize::new) {
             run(
                 &format!("{poll}-choice"),
                 &mut TwoChoicePlacer::with_poll_size(book.clone(), args.seed, poll),
-            );
+            )?;
         }
     }
-    println!("\n(2-choice trades a few extra PMs for near-constant placement cost)");
+    report_line(format_args!(
+        "\n(2-choice trades a few extra PMs for near-constant placement cost)"
+    ))?;
+    Ok(())
 }

@@ -4,8 +4,8 @@ use crate::table::{ScoreBook, ScoreTable};
 use prvm_model::combin::distinct_placements;
 use prvm_model::units::convert;
 use prvm_model::{
-    Assignment, Cluster, EvictionPolicy, Mhz, PlacementAlgorithm, PlacementDecision, Pm, PmId,
-    QuantizedVm, VmId, VmSpec,
+    scan, Assignment, Cluster, EvictionPolicy, Mhz, PlacementAlgorithm, PlacementDecision, Pm,
+    PmId, QuantizedVm, VmId, VmSpec,
 };
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -41,6 +41,11 @@ impl Hasher for Fnv {
         self.0
     }
 }
+
+/// How the PageRankVM rater rates a PM: `(scored, score)`. A scored
+/// option is `(true, its score)`; the quantized fallback is
+/// `(false, 0.0)`, below every scored option.
+pub(crate) type Rating = (bool, f64);
 
 /// Every scored way of hosting one quantized VM on one quantized PM
 /// usage, best first: score descending, enumeration order among equal
@@ -257,23 +262,21 @@ impl PageRankVmPlacer {
             ranked,
         }
     }
-}
 
-impl PlacementAlgorithm for PageRankVmPlacer {
-    fn name(&self) -> &str {
-        "PageRankVM"
-    }
-
-    fn choose(
-        &mut self,
+    /// The rater [`scan`] and [`best_of`](prvm_model::best_of) call for
+    /// `vm` on `cluster`: a PM's best option through the ranked-option
+    /// cache, rated `(true, score)`.
+    ///
+    /// A PM with no scored option that beats the floor rates `None`,
+    /// except while nothing has rated yet: then a quantized-infeasible
+    /// (or unscored) but real-feasible PM rates `(false, 0.0)`. Every
+    /// scored option outranks that, so it is Algorithm 2's fallback
+    /// (DESIGN.md §5): the first such PM, taken only if no PM scores.
+    pub(crate) fn rater<'a>(
+        &'a mut self,
         cluster: &Cluster,
-        vm: &VmSpec,
-        exclude: &dyn Fn(PmId) -> bool,
-    ) -> Option<PlacementDecision> {
-        // One span per VM placed; `ranked_options` below stays span-free
-        // (it runs once per distinct scanned usage, too hot — see
-        // lint.toml).
-        let _span = prvm_obs::Span::enter("choose");
+        vm: &'a VmSpec,
+    ) -> impl FnMut(&Pm, Option<&Rating>) -> Option<(Rating, Assignment)> + 'a {
         // Bound the cache by cluster size, 2 × used PMs: a scan adds at
         // most one list per used PM, and a dropped list is rebuilt on
         // its next miss.
@@ -282,24 +285,11 @@ impl PlacementAlgorithm for PageRankVmPlacer {
             self.cache.clear();
         }
         let book = Arc::clone(&self.book);
-        let quantizer = book.quantizer();
         // The VM quantized once per PM type met in this scan.
         let mut qvms: Vec<Option<QuantizedVm>> = vec![None; book.len()];
         let mut key: Vec<u64> = Vec::new();
-        let mut best: Option<(f64, PmId, Assignment)> = None;
-        let mut fallback: Option<PlacementDecision> = None;
-        let mut scanned = 0u64;
-
-        // Lines 2–13: scan used PMs for the maximum-score option.
-        for pm_id in cluster.used_pms() {
-            if exclude(pm_id) {
-                continue;
-            }
-            let pm = cluster.pm(pm_id);
-            if !pm.has_aggregate_room(vm) {
-                continue;
-            }
-            scanned += 1;
+        move |pm, floor| {
+            let quantizer = book.quantizer();
             let found = book
                 .tables()
                 .enumerate()
@@ -330,55 +320,62 @@ impl PlacementAlgorithm for PageRankVmPlacer {
                         self.cache.entry(key.clone()).or_insert(options)
                     }
                 };
-                // Only an option beating the best so far can change the
-                // outcome; the first valid one in rank order is this PM's
-                // best (equal scores: the earlier PM keeps the lead).
-                let floor = best.as_ref().map(|(score, _, _)| *score);
-                options.first_valid(pm, vm, floor)
+                // Only an option scoring above the best so far can change
+                // the outcome; the first valid one in rank order is this
+                // PM's best.
+                let above = floor.and_then(|&(scored, score)| scored.then_some(score));
+                options.first_valid(pm, vm, above)
             });
             match pick {
-                Some((score, assignment)) => best = Some((score, pm_id, assignment)),
-                None => {
-                    // Quantized-infeasible (or unscored) but possibly
-                    // real-feasible: remember the first such PM as a
-                    // fallback (DESIGN.md §5). Only used if no PM scores.
-                    if best.is_none() && fallback.is_none() {
-                        if let Some(assignment) = pm.first_feasible(vm) {
-                            fallback = Some(PlacementDecision {
-                                pm: pm_id,
-                                assignment,
-                            });
-                        }
-                    }
-                }
+                Some((score, assignment)) => Some(((true, score), assignment)),
+                None if floor.is_none() => pm.first_feasible(vm).map(|a| ((false, 0.0), a)),
+                None => None,
             }
         }
-        prvm_obs::counter!("placer.used_pms_scanned", scanned);
-        if let Some((_, pm, assignment)) = best {
-            prvm_obs::counter!("placer.used_pm_placements");
-            return Some(PlacementDecision { pm, assignment });
-        }
-        if fallback.is_some() {
-            prvm_obs::counter!("placer.used_pm_placements");
-            prvm_obs::counter!("placer.quantized_fallbacks");
-            return fallback;
-        }
+    }
+}
 
-        // Lines 17–24: open the first unused PM with sufficient resources.
-        for pm_id in cluster.unused_pms() {
-            if exclude(pm_id) {
-                continue;
+impl PlacementAlgorithm for PageRankVmPlacer {
+    fn name(&self) -> &str {
+        "PageRankVM"
+    }
+
+    fn choose(
+        &mut self,
+        cluster: &Cluster,
+        vm: &VmSpec,
+        exclude: &dyn Fn(PmId) -> bool,
+    ) -> Option<PlacementDecision> {
+        // One span per VM placed; `ranked_options` below stays span-free
+        // (it runs once per distinct scanned usage, too hot — see
+        // lint.toml).
+        let _span = prvm_obs::Span::enter("choose");
+        let mut scanned = 0u64;
+        let mut rate = self.rater(cluster, vm);
+        // Lines 2–13 over the used PMs, else lines 17–24: open the first
+        // unused PM with sufficient resources.
+        let found = scan(cluster, vm, exclude, |pm, floor| {
+            scanned += 1;
+            rate(pm, floor)
+        });
+        prvm_obs::counter!("placer.used_pms_scanned", scanned);
+        match found {
+            Some((Some((scored, _)), decision)) => {
+                prvm_obs::counter!("placer.used_pm_placements");
+                if !scored {
+                    prvm_obs::counter!("placer.quantized_fallbacks");
+                }
+                Some(decision)
             }
-            if let Some(assignment) = cluster.pm(pm_id).first_feasible(vm) {
+            Some((None, decision)) => {
                 prvm_obs::counter!("placer.unused_pm_opens");
-                return Some(PlacementDecision {
-                    pm: pm_id,
-                    assignment,
-                });
+                Some(decision)
+            }
+            None => {
+                prvm_obs::counter!("placer.placement_failures");
+                None
             }
         }
-        prvm_obs::counter!("placer.placement_failures");
-        None
     }
 }
 

@@ -4,15 +4,17 @@
 //! evaluations. The paper notes the classic power-of-two-choices result
 //! [Azar et al., Mitzenmacher]: sampling two PMs at random and keeping the
 //! better one captures most of the benefit at `O(1)` cost. This placer
-//! samples `poll_size` used PMs, scores only those, and falls back to the
-//! full Algorithm 2 path when the sample yields nothing feasible.
+//! samples `poll_size` used PMs, rates only those with the exhaustive
+//! placer's cached rater, and falls back to the full Algorithm 2 path
+//! when no sampled PM scores.
 
 use crate::placer::PageRankVmPlacer;
 use crate::table::ScoreBook;
-use prvm_model::{Cluster, PlacementAlgorithm, PlacementDecision, PmId, VmSpec};
+use prvm_model::{best_of, Cluster, PlacementAlgorithm, PlacementDecision, PmId, VmSpec};
 use rand::rngs::StdRng;
 use rand::seq::IteratorRandom;
 use rand::SeedableRng;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 /// PageRankVM with sampled candidate PMs.
@@ -20,24 +22,19 @@ use std::sync::Arc;
 pub struct TwoChoicePlacer {
     inner: PageRankVmPlacer,
     rng: StdRng,
-    poll_size: usize,
+    poll_size: NonZeroUsize,
 }
 
 impl TwoChoicePlacer {
     /// Sample two candidates per placement (the paper's recommendation).
     #[must_use]
     pub fn new(book: Arc<ScoreBook>, seed: u64) -> Self {
-        Self::with_poll_size(book, seed, 2)
+        Self::with_poll_size(book, seed, NonZeroUsize::MIN.saturating_add(1))
     }
 
     /// Sample `poll_size` candidates per placement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `poll_size == 0`.
     #[must_use]
-    pub fn with_poll_size(book: Arc<ScoreBook>, seed: u64, poll_size: usize) -> Self {
-        assert!(poll_size > 0, "poll size must be positive");
+    pub fn with_poll_size(book: Arc<ScoreBook>, seed: u64, poll_size: NonZeroUsize) -> Self {
         Self {
             inner: PageRankVmPlacer::new(book),
             rng: StdRng::seed_from_u64(seed),
@@ -47,7 +44,7 @@ impl TwoChoicePlacer {
 
     /// Number of used PMs sampled per placement.
     #[must_use]
-    pub fn poll_size(&self) -> usize {
+    pub fn poll_size(&self) -> NonZeroUsize {
         self.poll_size
     }
 }
@@ -66,32 +63,14 @@ impl PlacementAlgorithm for TwoChoicePlacer {
         let sample: Vec<PmId> = cluster
             .used_pms()
             .filter(|&pm| !exclude(pm))
-            .choose_multiple(&mut self.rng, self.poll_size);
-
-        let mut best: Option<(f64, PlacementDecision)> = None;
-        for pm_id in sample {
-            let pm = cluster.pm(pm_id);
-            if !pm.has_aggregate_room(vm) {
-                continue;
-            }
-            if let Some((score, assignment)) = self.inner.best_option(pm, vm) {
-                if best.as_ref().is_none_or(|(b, _)| score > *b) {
-                    best = Some((
-                        score,
-                        PlacementDecision {
-                            pm: pm_id,
-                            assignment,
-                        },
-                    ));
-                }
-            }
+            .choose_multiple(&mut self.rng, self.poll_size.get());
+        let rate = self.inner.rater(cluster, vm);
+        match best_of(cluster, sample, vm, exclude, rate) {
+            Some(((true, _), decision)) => Some(decision),
+            // No sampled PM scored: defer to the exhaustive Algorithm 2
+            // so the placement does not fail spuriously.
+            _ => self.inner.choose(cluster, vm, exclude),
         }
-        if let Some((_, d)) = best {
-            return Some(d);
-        }
-        // Sample failed: defer to the exhaustive Algorithm 2 so the
-        // placement does not fail spuriously.
-        self.inner.choose(cluster, vm, exclude)
     }
 }
 
@@ -151,7 +130,7 @@ mod tests {
     fn falls_back_to_exhaustive_scan() {
         // With poll size 1 and a nearly-full cluster the sample often
         // misses; placement must still succeed while capacity remains.
-        let mut placer = TwoChoicePlacer::with_poll_size(book(), 3, 1);
+        let mut placer = TwoChoicePlacer::with_poll_size(book(), 3, NonZeroUsize::MIN);
         let mut cluster = Cluster::homogeneous(catalog::geni_pm(), 4);
         // 4 PMs x 16 slots = 64 slots; 24 x [1,1] = 48 slots. A poll of
         // one frequently samples a full PM; the exhaustive fallback must
@@ -159,11 +138,5 @@ mod tests {
         let vms = vec![catalog::geni_vm_2(); 24];
         let ids = place_batch(&mut placer, &mut cluster, vms).unwrap();
         assert_eq!(ids.len(), 24);
-    }
-
-    #[test]
-    #[should_panic(expected = "poll size")]
-    fn zero_poll_size_rejected() {
-        let _ = TwoChoicePlacer::with_poll_size(book(), 0, 0);
     }
 }

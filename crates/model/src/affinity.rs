@@ -212,7 +212,7 @@ pub fn place_batch_with_rules(
 mod tests {
     use super::*;
     use crate::catalog;
-    use crate::traits::PlacementDecision;
+    use crate::traits::{first_fit, PlacementDecision};
 
     struct ToyFirstFit;
     impl PlacementAlgorithm for ToyFirstFit {
@@ -225,16 +225,7 @@ mod tests {
             vm: &VmSpec,
             exclude: &dyn Fn(PmId) -> bool,
         ) -> Option<PlacementDecision> {
-            cluster
-                .used_pms()
-                .chain(cluster.unused_pms())
-                .filter(|&pm| !exclude(pm))
-                .find_map(|pm| {
-                    cluster
-                        .pm(pm)
-                        .first_feasible(vm)
-                        .map(|assignment| PlacementDecision { pm, assignment })
-                })
+            first_fit(cluster, cluster.used_then_unused(), vm, exclude)
         }
     }
 

@@ -120,7 +120,8 @@ impl Cluster {
 
     /// The used-PM list in first-use order (the paper's `used_PM_list`).
     /// Down PMs are hidden, so every placement algorithm — they all walk
-    /// this and [`Cluster::unused_pms`] — skips crashed machines for free.
+    /// this and [`Cluster::unused_pms`] through [`crate::scan`] — skips
+    /// crashed machines for free.
     pub fn used_pms(&self) -> impl Iterator<Item = PmId> + '_ {
         self.used.iter().copied().filter(|pm| !self.down[pm.0])
     }
@@ -128,6 +129,12 @@ impl Cluster {
     /// The unused-PM list (the paper's `unused_PM_list`), down PMs hidden.
     pub fn unused_pms(&self) -> impl Iterator<Item = PmId> + '_ {
         self.unused.iter().copied().filter(|pm| !self.down[pm.0])
+    }
+
+    /// The used list, then the unused list: the order first fit tries PMs
+    /// in. Down PMs are hidden.
+    pub fn used_then_unused(&self) -> impl Iterator<Item = PmId> + '_ {
+        self.used_pms().chain(self.unused_pms())
     }
 
     /// Number of PMs currently hosting at least one VM.

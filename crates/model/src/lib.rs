@@ -18,7 +18,8 @@
 //! * the [`Quantizer`] bridging real-unit specs into the small integer
 //!   profile space the PageRank table is built over;
 //! * the [`PlacementAlgorithm`] and [`EvictionPolicy`] traits implemented by
-//!   `pagerankvm` and `prvm-baselines`.
+//!   `pagerankvm` and `prvm-baselines`, and the one PM [`scan`] they share
+//!   (Algorithm 2's [`best_of`] over used PMs, else [`first_fit`]).
 //!
 //! # Example
 //!
@@ -57,6 +58,8 @@ pub use cluster::{Cluster, PmId, VmId};
 pub use error::{ModelError, PlaceError};
 pub use pm::{Pm, PmSpec};
 pub use quantize::{QuantizedPm, QuantizedVm, Quantizer};
-pub use traits::{place_batch, EvictionPolicy, PlacementAlgorithm, PlacementDecision};
+pub use traits::{
+    best_of, first_fit, place_batch, scan, EvictionPolicy, PlacementAlgorithm, PlacementDecision,
+};
 pub use units::{DiskGb, MemMib, Mhz};
 pub use vm::{Vm, VmSpec};

@@ -22,7 +22,7 @@
 
 #![warn(missing_docs)]
 
-use prvm_model::{Assignment, Cluster, PmId, PmSpec, VmSpec};
+use prvm_model::{first_fit, Assignment, Cluster, PlacementDecision, PmId, PmSpec, VmSpec};
 use std::time::{Duration, Instant};
 
 /// Search limits. The solver is exact when it finishes within them;
@@ -124,18 +124,14 @@ impl Search<'_> {
         let mut placements = vec![None; self.vms.len()];
         for &vi in &self.order.clone() {
             let vm = &self.vms[vi];
-            let found = cluster
-                .used_pms()
-                .chain(cluster.unused_pms())
-                .find_map(|pm| cluster.pm(pm).first_feasible(vm).map(|a| (pm, a)));
-            match found {
-                Some((pm, a)) => {
-                    let placed = cluster.place(pm, vm.clone(), a.clone());
+            match first_fit(&cluster, cluster.used_then_unused(), vm, &|_| false) {
+                Some(PlacementDecision { pm, assignment }) => {
+                    let placed = cluster.place(pm, vm.clone(), assignment.clone());
                     if placed.is_err() {
                         debug_assert!(false, "first_feasible assignment places");
                         return; // no incumbent; search decides feasibility
                     }
-                    placements[vi] = Some((pm, a));
+                    placements[vi] = Some((pm, assignment));
                 }
                 None => return, // no incumbent; search decides feasibility
             }

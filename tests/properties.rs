@@ -3,10 +3,13 @@
 //! each module).
 
 use pagerankvm::{pagerank, GraphLimits, Orientation, PageRankConfig, ProfileGraph};
-use pagerankvm::{ProfileSpace, ProfileVm};
+use pagerankvm::{ProfileSpace, ProfileVm, ScoreBook};
 use proptest::prelude::*;
 use prvm_model::combin::{distinct_placements, first_feasible};
+use prvm_model::{catalog, Cluster, PmId, Quantizer, VmId};
+use prvm_sim::Algorithm;
 use prvm_traces::stats::Percentiles;
+use std::sync::{Arc, OnceLock};
 
 /// Random small placement instances: dimensions with usage <= cap, plus a
 /// demand multiset.
@@ -136,5 +139,101 @@ proptest! {
         let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!(p.p1 <= p.median && p.median <= p.p99);
         prop_assert!(p.p1 >= min && p.p99 <= max);
+    }
+}
+
+/// Every placer the experiments build.
+const ALL_ALGORITHMS: [Algorithm; 7] = [
+    Algorithm::PageRankVm,
+    Algorithm::TwoChoice,
+    Algorithm::FirstFit,
+    Algorithm::FfdSum,
+    Algorithm::CompVm,
+    Algorithm::BestFit,
+    Algorithm::WorstFit,
+];
+
+/// An EC2 book at a coarse quantization: memory rounds up hard, so
+/// PageRankVM's quantized-infeasible but real-feasible fallback occurs.
+/// Built once.
+fn coarse_ec2_book() -> Arc<ScoreBook> {
+    static BOOK: OnceLock<Arc<ScoreBook>> = OnceLock::new();
+    let book = BOOK.get_or_init(|| {
+        let quantizer = Quantizer {
+            core_slots: 2,
+            mem_levels: 4,
+            disk_levels: 2,
+        };
+        Arc::new(
+            ScoreBook::build(
+                quantizer,
+                &catalog::ec2_pm_types(),
+                &catalog::ec2_vm_types(),
+                &PageRankConfig::default(),
+                GraphLimits::default(),
+            )
+            .expect("catalog book builds"),
+        )
+    });
+    Arc::clone(book)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every placer, on one random sequence of steps over a small
+    /// interleaved M3/C3 cluster. A step `(kind, VM type, extra)` removes
+    /// the resident `extra` (kind 0), places excluding the PMs in stripe
+    /// `extra` mod 3 (kind 1) or places with nothing excluded. A decision
+    /// never names an excluded PM and validates; `None` comes only when
+    /// no kept PM has a feasible assignment.
+    #[test]
+    fn every_placer_respects_exclusion_and_misses_no_room(
+        pms in 2usize..10,
+        seed in any::<u64>(),
+        steps in prop::collection::vec((0u8..5, 0usize..16, 0usize..64), 20..80),
+    ) {
+        let book = coarse_ec2_book();
+        let types = catalog::ec2_vm_types();
+        for algo in ALL_ALGORITHMS {
+            let (mut placer, _) = algo.build(&book, seed);
+            let mut cluster = Cluster::from_specs((0..pms).map(|i| {
+                if i % 3 == 2 {
+                    catalog::pm_c3()
+                } else {
+                    catalog::pm_m3()
+                }
+            }));
+            let mut residents: Vec<VmId> = Vec::new();
+            for &(kind, ty, extra) in &steps {
+                if kind == 0 {
+                    if !residents.is_empty() {
+                        let victim = residents.swap_remove(extra % residents.len());
+                        cluster.remove(victim).expect("resident");
+                    }
+                    continue;
+                }
+                let vm = &types[ty % types.len()];
+                let stripe = extra % 3;
+                let none = |_: PmId| false;
+                let striped = |pm: PmId| pm.0 % 3 == stripe;
+                let exclude: &dyn Fn(PmId) -> bool = if kind == 1 { &striped } else { &none };
+                match placer.choose(&cluster, vm, exclude) {
+                    Some(d) => {
+                        prop_assert!(!exclude(d.pm), "{}: chose excluded {:?}", algo.name(), d.pm);
+                        let valid = cluster.pm(d.pm).validate(vm, &d.assignment);
+                        prop_assert!(valid.is_ok(), "{}: {valid:?}", algo.name());
+                        residents.push(cluster.place(d.pm, vm.clone(), d.assignment).expect("valid"));
+                    }
+                    None => {
+                        let room = cluster
+                            .used_then_unused()
+                            .filter(|&pm| !exclude(pm))
+                            .find(|&pm| cluster.pm(pm).first_feasible(vm).is_some());
+                        prop_assert!(room.is_none(), "{}: missed {room:?} for {}", algo.name(), vm.name);
+                    }
+                }
+            }
+        }
     }
 }

@@ -9,7 +9,7 @@
 use pagerankvm::{
     GraphLimits, Orientation, PageRankConfig, PageRankEviction, PageRankVmPlacer, ScoreBook,
 };
-use prvm_bench::CliArgs;
+use prvm_bench::{report_line, CliArgs};
 use prvm_model::{catalog, Quantizer};
 use prvm_sim::{build_cluster, simulate, SimConfig, Workload, WorkloadConfig};
 use prvm_traces::TraceKind;
@@ -31,14 +31,14 @@ fn book(orientation: Orientation) -> Arc<ScoreBook> {
     )
 }
 
-fn main() {
+fn main() -> Result<(), String> {
     let args = CliArgs::from_env();
     let sim = SimConfig::default();
 
-    println!(
+    report_line(format_args!(
         "{:<16} {:>6} {:>10} {:>12} {:>12} {:>10} {:>8}",
         "orientation", "#VMs", "PMs used", "PMs initial", "energy kWh", "migr", "SLO %"
-    );
+    ))?;
     for orientation in [Orientation::TowardEmptier, Orientation::TowardFuller] {
         let book = book(orientation);
         for &n in &args.vms {
@@ -67,7 +67,7 @@ fn main() {
                 slo.push(o.slo_violation_pct);
             }
             let med = |v: &[f64]| prvm_traces::stats::Percentiles::of(v).median;
-            println!(
+            report_line(format_args!(
                 "{:<16} {:>6} {:>10.1} {:>12.1} {:>12.1} {:>10.1} {:>8.2}",
                 format!("{orientation:?}"),
                 n,
@@ -76,7 +76,8 @@ fn main() {
                 med(&energy),
                 med(&migr),
                 med(&slo)
-            );
+            ))?;
         }
     }
+    Ok(())
 }

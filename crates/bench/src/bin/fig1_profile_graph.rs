@@ -7,8 +7,9 @@
 //! outgoing edges.
 
 use pagerankvm::{GraphLimits, PageRankConfig, ProfileSpace, ProfileVm, ScoreTable};
+use prvm_bench::report_line;
 
-fn main() {
+fn main() -> Result<(), String> {
     let space = ProfileSpace::uniform(4, 4);
     let vms = vec![
         ProfileVm::from_demands("[1,1]", vec![vec![1, 1]]),
@@ -23,13 +24,13 @@ fn main() {
     .expect("tiny graph builds");
 
     let g = table.graph();
-    println!(
+    report_line(format_args!(
         "Profile graph: PM capacity [4,4,4,4], VM set {{[1,1],[1,1,1,1]}}: \
          {} profiles, {} edges, PageRank converged in {} iterations\n",
         g.node_count(),
         g.edge_count(),
         table.pagerank().iterations
-    );
+    ))?;
 
     // Sort nodes by final score (descending) like the figure's shading.
     let mut nodes: Vec<(u32, f64)> = g
@@ -38,24 +39,27 @@ fn main() {
         .collect();
     nodes.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite scores"));
 
-    println!(
+    report_line(format_args!(
         "{:<14} {:>10} {:>7} {:>9}  successors",
         "profile", "score", "util", "endpoint"
-    );
+    ))?;
     for (id, score) in nodes {
         let succ: Vec<String> = g
             .successors(id)
             .iter()
             .map(|&s| g.profile(s).to_string())
             .collect();
-        println!(
+        report_line(format_args!(
             "{:<14} {:>10.6} {:>6.0}% {:>9} {}",
             g.profile(id).to_string(),
             score * 1000.0,
             g.utilization(id) * 100.0,
             if g.is_endpoint(id) { "yes" } else { "" },
             succ.join(" ")
-        );
+        ))?;
     }
-    println!("\n(scores ×1000; higher = preferred placement outcome)");
+    report_line(format_args!(
+        "\n(scores ×1000; higher = preferred placement outcome)"
+    ))?;
+    Ok(())
 }

@@ -3,9 +3,9 @@
 //!
 //! Expected shape (paper): PageRankVM < CompVM < FFDSum < FF.
 
-use prvm_bench::{print_metric_table, sim_sweep, CliArgs};
+use prvm_bench::{print_metric_table, report_line, sim_sweep, CliArgs};
 
-fn main() {
+fn main() -> Result<(), String> {
     let args = CliArgs::from_env();
     let sweep = sim_sweep(&args);
     print_metric_table(
@@ -13,27 +13,28 @@ fn main() {
         &sweep.rows,
         "PlanetLab",
         |r| r.pms_used_initial,
-    );
+    )?;
     print_metric_table(
         "Fig. 3(b): number of PMs used by the allocation",
         &sweep.rows,
         "GoogleCluster",
         |r| r.pms_used_initial,
-    );
+    )?;
     print_metric_table(
         "Fig. 3 supplement: distinct PMs ever used over 24 h (incl. migration targets)",
         &sweep.rows,
         "PlanetLab",
         |r| r.pms_used,
-    );
+    )?;
     print_metric_table(
         "Fig. 3 supplement: distinct PMs ever used over 24 h (incl. migration targets)",
         &sweep.rows,
         "GoogleCluster",
         |r| r.pms_used,
-    );
-    println!(
+    )?;
+    report_line(format_args!(
         "\n(repeats = {}; paper uses 100 — pass --repeats 100 to match)",
         sweep.repeats
-    );
+    ))?;
+    Ok(())
 }

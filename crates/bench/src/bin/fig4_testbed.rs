@@ -5,18 +5,19 @@
 //! least, with smaller margins than in simulation (fewer PMs, fewer
 //! dimensions).
 
-use prvm_bench::{print_testbed_table, testbed_sweep, CliArgs};
+use prvm_bench::{print_testbed_table, report_line, testbed_sweep, CliArgs};
 
-fn main() {
+fn main() -> Result<(), String> {
     let args = CliArgs::from_env();
     let sweep = testbed_sweep(&args);
     print_testbed_table(
         "Fig. 4(a): number of PMs used by the allocation",
         &sweep.rows,
         |r| r.pms_used_initial,
-    );
+    )?;
     print_testbed_table("Fig. 4(b): number of VM migrations", &sweep.rows, |r| {
         r.migrations
-    });
-    println!("\n(repeats = {})", sweep.repeats);
+    })?;
+    report_line(format_args!("\n(repeats = {})", sweep.repeats))?;
+    Ok(())
 }

@@ -5,7 +5,7 @@
 
 use prvm_bench::{print_metric_table, sim_sweep, CliArgs};
 
-fn main() {
+fn main() -> Result<(), String> {
     let args = CliArgs::from_env();
     let sweep = sim_sweep(&args);
     print_metric_table(
@@ -13,11 +13,12 @@ fn main() {
         &sweep.rows,
         "PlanetLab",
         |r| r.migrations,
-    );
+    )?;
     print_metric_table(
         "Fig. 6(b): number of VM migrations",
         &sweep.rows,
         "GoogleCluster",
         |r| r.migrations,
-    );
+    )?;
+    Ok(())
 }

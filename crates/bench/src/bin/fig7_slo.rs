@@ -5,7 +5,7 @@
 
 use prvm_bench::{print_metric_table, sim_sweep, CliArgs};
 
-fn main() {
+fn main() -> Result<(), String> {
     let args = CliArgs::from_env();
     let sweep = sim_sweep(&args);
     print_metric_table(
@@ -13,11 +13,12 @@ fn main() {
         &sweep.rows,
         "PlanetLab",
         |r| r.slo_pct,
-    );
+    )?;
     print_metric_table(
         "Fig. 7(b): SLO violations (%)",
         &sweep.rows,
         "GoogleCluster",
         |r| r.slo_pct,
-    );
+    )?;
+    Ok(())
 }

@@ -4,8 +4,9 @@
 
 use prvm_bench::{print_testbed_table, testbed_sweep, CliArgs};
 
-fn main() {
+fn main() -> Result<(), String> {
     let args = CliArgs::from_env();
     let sweep = testbed_sweep(&args);
-    print_testbed_table("Fig. 8: SLO violations (%)", &sweep.rows, |r| r.slo_pct);
+    print_testbed_table("Fig. 8: SLO violations (%)", &sweep.rows, |r| r.slo_pct)?;
+    Ok(())
 }

@@ -401,13 +401,17 @@ pub fn testbed_sweep(args: &CliArgs) -> TestbedSweep {
 
 /// Print one figure's table: rows = VM counts, columns = algorithms,
 /// cells = `median (p1–p99)`.
+///
+/// # Errors
+///
+/// A stdout write failure other than a closed pipe ([`report_line`]).
 pub fn print_metric_table(
     title: &str,
     rows: &[MetricSummary],
     trace: &str,
     metric: impl Fn(&MetricSummary) -> Percentiles,
-) {
-    println!("\n=== {title} — {trace} trace ===");
+) -> Result<(), String> {
+    report_line(format_args!("\n=== {title} — {trace} trace ==="))?;
     let algos: Vec<String> = {
         let mut v: Vec<String> = rows.iter().map(|r| r.algorithm.clone()).collect();
         v.dedup();
@@ -427,11 +431,11 @@ pub fn print_metric_table(
         }
         sorted
     };
-    print!("{:>8}", "#VMs");
+    let mut line = format!("{:>8}", "#VMs");
     for a in &algos {
-        print!(" | {a:>26}");
+        line += &format!(" | {a:>26}");
     }
-    println!();
+    report_line(format_args!("{line}"))?;
     let mut ns: Vec<usize> = rows
         .iter()
         .filter(|r| r.trace == trace)
@@ -440,7 +444,7 @@ pub fn print_metric_table(
     ns.sort_unstable();
     ns.dedup();
     for n in ns {
-        print!("{n:>8}");
+        let mut line = format!("{n:>8}");
         for a in &algos {
             let cell = rows
                 .iter()
@@ -456,30 +460,37 @@ pub fn print_metric_table(
                         }
                     },
                 );
-            print!(" | {cell}");
+            line += &format!(" | {cell}");
         }
-        println!();
+        report_line(format_args!("{line}"))?;
     }
+    Ok(())
 }
 
 /// Print a testbed figure's table.
+///
+/// # Errors
+///
+/// A stdout write failure other than a closed pipe ([`report_line`]).
 pub fn print_testbed_table(
     title: &str,
     rows: &[TestbedSummary],
     metric: impl Fn(&TestbedSummary) -> Percentiles,
-) {
-    println!("\n=== {title} — GENI testbed emulation (Google trace) ===");
+) -> Result<(), String> {
+    report_line(format_args!(
+        "\n=== {title} — GENI testbed emulation (Google trace) ==="
+    ))?;
     let order = ["PageRankVM", "CompVM", "FFDSum", "FF"];
-    print!("{:>8}", "#VMs");
+    let mut line = format!("{:>8}", "#VMs");
     for a in order {
-        print!(" | {a:>22}");
+        line += &format!(" | {a:>22}");
     }
-    println!();
+    report_line(format_args!("{line}"))?;
     let mut js: Vec<usize> = rows.iter().map(|r| r.jobs).collect();
     js.sort_unstable();
     js.dedup();
     for j in js {
-        print!("{j:>8}");
+        let mut line = format!("{j:>8}");
         for a in order {
             let cell = rows
                 .iter()
@@ -491,10 +502,11 @@ pub fn print_testbed_table(
                         format!("{:>8.1} ({:>4.1}–{:>5.1})", p.median, p.p1, p.p99)
                     },
                 );
-            print!(" | {cell}");
+            line += &format!(" | {cell}");
         }
-        println!();
+        report_line(format_args!("{line}"))?;
     }
+    Ok(())
 }
 
 #[cfg(test)]

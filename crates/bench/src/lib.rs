@@ -9,7 +9,6 @@
 
 #![warn(missing_docs)]
 
-pub mod eventsim;
 pub mod loadgen;
 pub mod perf;
 
@@ -57,39 +56,26 @@ impl CliArgs {
     ///
     /// # Errors
     ///
-    /// Returns a usage message on unknown flags, missing values or
-    /// unparseable numbers.
+    /// Returns a usage message on unknown flags, missing values,
+    /// unparseable numbers, or zero, empty or repeated counts.
     pub fn try_parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let mut out = Self::default();
         let mut it = args.into_iter();
         let usage = "usage: [--repeats N] [--seed N] [--vms a,b,c] [--jobs a,b,c] [--fresh]";
-        let int_list = |text: String| -> Result<Vec<usize>, String> {
-            text.split(',')
-                .map(|s| {
-                    s.trim()
-                        .parse::<usize>()
-                        .map_err(|_| format!("{s:?} is not a count; {usage}"))
-                })
-                .collect()
-        };
         while let Some(flag) = it.next() {
             let mut value = |name: &str| -> Result<String, String> {
                 it.next()
                     .ok_or_else(|| format!("{name} needs a value; {usage}"))
             };
             match flag.as_str() {
-                "--repeats" => {
-                    out.repeats = value("--repeats")?
-                        .parse()
-                        .map_err(|_| format!("--repeats wants an integer; {usage}"))?;
-                }
+                "--repeats" => out.repeats = parse_count(&value("--repeats")?, usage)?,
                 "--seed" => {
                     out.seed = value("--seed")?
                         .parse()
                         .map_err(|_| format!("--seed wants an integer; {usage}"))?;
                 }
-                "--vms" => out.vms = int_list(value("--vms")?)?,
-                "--jobs" => out.jobs = int_list(value("--jobs")?)?,
+                "--vms" => out.vms = parse_counts(&value("--vms")?, usage)?,
+                "--jobs" => out.jobs = parse_counts(&value("--jobs")?, usage)?,
                 "--fresh" => out.fresh = true,
                 other => return Err(format!("unknown flag {other}; {usage}")),
             }
@@ -108,7 +94,51 @@ impl CliArgs {
     }
 }
 
-/// Print one report line to stdout. A closed stdout (`eventsim | head
+/// Parse one positive count (`--repeats 5`).
+///
+/// # Errors
+///
+/// A message ending in `usage` when `text` is not a positive integer.
+pub(crate) fn parse_count(text: &str, usage: &str) -> Result<usize, String> {
+    let n: usize = text
+        .trim()
+        .parse()
+        .map_err(|_| format!("{text:?} is not a count; {usage}"))?;
+    if n == 0 {
+        return Err(format!("counts must be positive; {usage}"));
+    }
+    Ok(n)
+}
+
+/// Parse a comma-separated list of positive, distinct counts
+/// (`--vms 1000,2000,3000`).
+///
+/// # Errors
+///
+/// A message ending in `usage` on an empty list, a zero or unparseable
+/// entry, or a repeated count.
+pub(crate) fn parse_counts(text: &str, usage: &str) -> Result<Vec<usize>, String> {
+    let list = text
+        .split(',')
+        .map(|s| parse_count(s, usage))
+        .collect::<Result<Vec<_>, _>>()?;
+    if (1..list.len()).any(|i| list[..i].contains(&list[i])) {
+        return Err(format!("counts must be distinct; {usage}"));
+    }
+    Ok(list)
+}
+
+/// Nearest-rank percentile of an ascending-sorted sample; 0 when empty.
+#[must_use]
+pub(crate) fn percentile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+/// Print one report line to stdout. A closed stdout (`bench | head
 /// -1`) is not a failure: the reader has gone, so the line has nowhere
 /// to go, and the work it reports (a merged `--out` cell) is already done.
 ///
@@ -129,8 +159,8 @@ fn write_report_line(out: &mut dyn Write, line: std::fmt::Arguments<'_>) -> Resu
 /// Write `keys` as top-level keys of the JSON object at `path`, keeping
 /// every other key there: a key already present is replaced where it
 /// stands, a new one is appended. An absent file becomes a fresh object.
-/// This is how the perf sweep and the `event_sim` / `serve_loadgen`
-/// cells share `BENCH_PRVM.json` without dropping each other.
+/// This is how the perf sweep and the `serve_loadgen` cell share
+/// `BENCH_PRVM.json` without dropping each other.
 ///
 /// # Errors
 ///
@@ -570,6 +600,39 @@ mod tests {
         assert!(err.contains("not a count"), "{err}");
         let err = CliArgs::try_parse(["--seed".to_string(), "abc".to_string()]).unwrap_err();
         assert!(err.contains("integer"), "{err}");
+    }
+
+    /// Zero repeats would reach an empty percentile summary; zero, empty
+    /// or repeated VM / job counts are malformed sweeps. All are usage
+    /// errors, caught before any work starts.
+    #[test]
+    fn cli_rejects_zero_empty_and_repeated_counts() {
+        let parse = |flag: &str, value: &str| {
+            CliArgs::try_parse([flag.to_string(), value.to_string()]).unwrap_err()
+        };
+        for (flag, value, want) in [
+            ("--repeats", "0", "positive"),
+            ("--repeats", "-1", "not a count"),
+            ("--vms", "10,0", "positive"),
+            ("--vms", "", "not a count"),
+            ("--jobs", "10,10", "distinct"),
+        ] {
+            let err = parse(flag, value);
+            assert!(
+                err.contains(want) && err.contains("usage:"),
+                "{flag} {value}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        let sorted = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(percentile(&sorted, 0.5), 2.0);
+        assert_eq!(percentile(&sorted, 0.95), 4.0);
+        assert_eq!(percentile(&sorted, 0.0), 1.0);
+        assert_eq!(percentile(&[5.0], 0.5), 5.0);
+        assert_eq!(percentile(&[], 0.5), 0.0);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! [`LOADGEN_SCHEMA`]) lands under the `serve_loadgen` key of
 //! `BENCH_PRVM.json` — alongside, not replacing, the perf sweep.
 
+use crate::percentile;
 use prvm_serve::{Client, ClientError};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -71,20 +72,11 @@ impl LoadGenArgs {
                 it.next()
                     .ok_or_else(|| format!("{name} needs a value; {usage}"))
             };
-            let count = |name: &str, text: String| -> Result<usize, String> {
-                let n: usize = text
-                    .parse()
-                    .map_err(|_| format!("{name} wants an integer; {usage}"))?;
-                if n == 0 {
-                    return Err(format!("{name} must be positive; {usage}"));
-                }
-                Ok(n)
-            };
             match flag.as_str() {
                 "--addr" => out.addr = value("--addr")?,
-                "--requests" => out.requests = count("--requests", value("--requests")?)?,
+                "--requests" => out.requests = crate::parse_count(&value("--requests")?, usage)?,
                 "--connections" => {
-                    out.connections = count("--connections", value("--connections")?)?;
+                    out.connections = crate::parse_count(&value("--connections")?, usage)?;
                 }
                 "--seed" => {
                     out.seed = value("--seed")?
@@ -332,15 +324,6 @@ fn run_connection(
     Ok(tally)
 }
 
-/// Nearest-rank percentile of an ascending-sorted sample.
-fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let rank = (q * sorted_ms.len() as f64).ceil() as usize;
-    sorted_ms[rank.clamp(1, sorted_ms.len()) - 1]
-}
-
 /// Run the load against a daemon at `args.addr` and assemble the report
 /// (without writing it).
 ///
@@ -564,7 +547,7 @@ mod tests {
                 .iter()
                 .map(|stage| crate::perf::StageRow {
                     stage: (*stage).to_string(),
-                    vms: usize::from(*stage == "placement" || *stage == "end_to_end") * 5,
+                    vms: usize::from(!crate::perf::is_graph_stage(stage)) * 5,
                     threads: 1,
                     median_ms: 2.0,
                     p95_ms: 3.0,
@@ -603,14 +586,6 @@ mod tests {
         let doc: serde::Value =
             serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert!(doc.field(LOADGEN_KEY).is_ok());
-    }
-
-    #[test]
-    fn percentiles_are_nearest_rank() {
-        let sorted = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&sorted, 0.5), 2.0);
-        assert_eq!(percentile(&sorted, 0.99), 4.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
     }
 
     /// End-to-end smoke: a real daemon on a loopback port, driven by the

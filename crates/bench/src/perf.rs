@@ -1,13 +1,16 @@
-//! The `pagerankvm bench` perf harness: times graph build, PageRank
-//! convergence and end-to-end placement across VM counts and worker
-//! counts, and writes the machine-readable `BENCH_PRVM.json` report
-//! (schema [`PERF_SCHEMA`]).
+//! The `pagerankvm bench` perf harness, the workspace's one in-process
+//! timing harness: times graph build, PageRank convergence, the score
+//! book's incremental refresh, batch placement, single `choose` calls,
+//! cold-start placement and one simulated day across VM counts and
+//! worker counts, and writes the machine-readable `BENCH_PRVM.json`
+//! report (schema [`PERF_SCHEMA`]).
 //!
 //! Thread counts change **wall-clock only**: the deterministic pool
 //! contract (DESIGN.md §10) guarantees bit-identical results at every
 //! worker count, and the harness re-checks that across the thread list
-//! (graph node/edge counts, PageRank iterations and score bits, and
-//! placement outcomes). Each stage sets the width with
+//! (graph node/edge counts, PageRank iterations and score bits,
+//! placement PM counts, `choose` decisions, and the simulated day's
+//! outcome and dispatched-event count). Each stage sets the width with
 //! [`prvm_par::set_global_threads`]. Reported speedups are
 //! relative to the first (smallest) thread count in `--threads`, which
 //! defaults to 1.
@@ -16,29 +19,37 @@ use pagerankvm::{
     pagerank, GraphLimits, PageRankConfig, PageRankResult, PageRankVmPlacer, ProfileGraph,
     ProfileSpace, ProfileVm, ScoreBook,
 };
-use prvm_model::{catalog, place_batch, Cluster, Quantizer, VmSpec};
+use prvm_baselines::{FirstFit, MinimumMigrationTime};
+use prvm_model::{catalog, place_batch, Cluster, PlacementAlgorithm, Quantizer, VmSpec};
 use prvm_obs::Span;
+use prvm_sim::{build_cluster, FaultPlan, Scenario, SimConfig, Workload, WorkloadConfig};
+use prvm_traces::TraceKind;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 
 /// Schema tag stamped into every report; bump when the shape changes.
-pub const PERF_SCHEMA: &str = "prvm-bench-perf/v1";
+pub const PERF_SCHEMA: &str = "prvm-bench-perf/v2";
 
 /// The stage names a valid report may contain, in pipeline order.
 /// `full_rebuild` and `incremental` time the score-book level of the
 /// incremental score engine (DESIGN.md §15): a cold `ScoreBook::build`
 /// of the merged catalog versus `ScoreBook::extend` from a prebuilt
-/// base book (delta re-BFS + warm-started PageRank).
-pub const STAGES: [&str; 6] = [
+/// base book (delta re-BFS + warm-started PageRank). `choose` times
+/// batches of one `choose` per EC2 VM type, each by a fresh placer, on
+/// the cluster `placement` left behind; `event_sim` is one simulated day
+/// of the FF + MMT scenario under every fault class.
+pub const STAGES: [&str; 8] = [
     "graph_build",
     "pagerank",
     "full_rebuild",
     "incremental",
     "placement",
+    "choose",
     "end_to_end",
+    "event_sim",
 ];
 
-/// Command-line options of `pagerankvm bench` / the `perf` binary.
+/// Command-line options of `pagerankvm bench`.
 #[derive(Debug, Clone, PartialEq)]
 #[must_use]
 pub struct PerfArgs {
@@ -105,39 +116,15 @@ impl PerfArgs {
                      [--trace FILE] [--check-trace FILE]";
         let mut out = Self::default();
         let mut it = args.into_iter();
-        let int_list = |text: String| -> Result<Vec<usize>, String> {
-            let list: Vec<usize> = text
-                .split(',')
-                .map(|s| {
-                    s.trim()
-                        .parse::<usize>()
-                        .map_err(|_| format!("{s:?} is not a count; {usage}"))
-                })
-                .collect::<Result<_, _>>()?;
-            if list.is_empty() || list.contains(&0) {
-                return Err(format!("counts must be positive; {usage}"));
-            }
-            if (1..list.len()).any(|i| list[..i].contains(&list[i])) {
-                return Err(format!("counts must be distinct; {usage}"));
-            }
-            Ok(list)
-        };
         while let Some(flag) = it.next() {
             let mut value = |name: &str| -> Result<String, String> {
                 it.next()
                     .ok_or_else(|| format!("{name} needs a value; {usage}"))
             };
             match flag.as_str() {
-                "--vms" => out.vms = int_list(value("--vms")?)?,
-                "--threads" => out.threads = int_list(value("--threads")?)?,
-                "--repeats" => {
-                    out.repeats = value("--repeats")?
-                        .parse()
-                        .map_err(|_| format!("--repeats wants an integer; {usage}"))?;
-                    if out.repeats == 0 {
-                        return Err(format!("--repeats must be positive; {usage}"));
-                    }
-                }
+                "--vms" => out.vms = crate::parse_counts(&value("--vms")?, usage)?,
+                "--threads" => out.threads = crate::parse_counts(&value("--threads")?, usage)?,
+                "--repeats" => out.repeats = crate::parse_count(&value("--repeats")?, usage)?,
                 "--seed" => {
                     out.seed = value("--seed")?
                         .parse()
@@ -160,15 +147,6 @@ impl PerfArgs {
             }
         }
         Ok(out)
-    }
-
-    /// Parse the process arguments (skipping argv\[0\]), exiting with the
-    /// usage message on malformed flags.
-    pub fn from_env() -> Self {
-        Self::try_parse(std::env::args().skip(1)).unwrap_or_else(|message| {
-            eprintln!("{message}");
-            std::process::exit(2);
-        })
     }
 }
 
@@ -298,8 +276,8 @@ impl PerfReport {
     }
 
     /// Write this report's fields as pretty JSON to `path`. Every other
-    /// top-level key of an existing JSON object there (the `event_sim`
-    /// and `serve_loadgen` cells) is kept; see [`crate::merge_json_keys`].
+    /// top-level key of an existing JSON object there (the
+    /// `serve_loadgen` cell) is kept; see [`crate::merge_json_keys`].
     ///
     /// # Errors
     ///
@@ -328,7 +306,7 @@ impl PerfReport {
 }
 
 /// Graph/PageRank stages are VM-count independent (`vms` is 0).
-fn is_graph_stage(stage: &str) -> bool {
+pub(crate) fn is_graph_stage(stage: &str) -> bool {
     matches!(
         stage,
         "graph_build" | "pagerank" | "full_rebuild" | "incremental"
@@ -338,6 +316,11 @@ fn is_graph_stage(stage: &str) -> bool {
 /// Medians below this floor are clamped before computing gate ratios:
 /// at sub-tick durations the ratio is timer noise, not a regression.
 pub const GATE_FLOOR_MS: f64 = 0.05;
+
+/// Batches of one `choose` per EC2 VM type in one timed `choose` sample,
+/// each by a fresh placer: enough to lift the cell well clear of
+/// [`GATE_FLOOR_MS`].
+const CHOOSE_ROUNDS: usize = 64;
 
 /// One compared `(stage, vms, threads)` cell of a `--gate` run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -404,18 +387,12 @@ pub fn gate_compare(
     Ok(rows)
 }
 
-/// Nearest-rank percentile of an ascending-sorted sample.
-fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let rank = (q * sorted_ms.len() as f64).ceil() as usize;
-    sorted_ms[rank.clamp(1, sorted_ms.len()) - 1]
-}
-
 fn summarize(mut samples_ms: Vec<f64>) -> (f64, f64) {
     samples_ms.sort_by(f64::total_cmp);
-    (percentile(&samples_ms, 0.5), percentile(&samples_ms, 0.95))
+    (
+        crate::percentile(&samples_ms, 0.5),
+        crate::percentile(&samples_ms, 0.95),
+    )
 }
 
 /// The m3 profile space + quantized VM demands the graph stages measure
@@ -487,13 +464,36 @@ fn ms(d: std::time::Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
+/// Keep the baseline width's `value` as the reference, or fail when a
+/// later width's `value` differs from it: no result may depend on the
+/// worker count.
+fn same_at_every_width<T: PartialEq + std::fmt::Debug>(
+    reference: &mut Option<T>,
+    value: T,
+    what: &str,
+    threads: usize,
+) -> Result<(), String> {
+    match reference {
+        Some(expected) if *expected != value => Err(format!(
+            "determinism violation: {what} at {threads} threads: {value:?}, \
+             against {expected:?} at the baseline width"
+        )),
+        Some(_) => Ok(()),
+        None => {
+            *reference = Some(value);
+            Ok(())
+        }
+    }
+}
+
 /// Run the sweep described by `args` and assemble the report (without
 /// writing it). Progress lines go to stderr.
 ///
 /// # Errors
 ///
-/// Fails if the EC2 catalog graphs cannot be built or a placement run
-/// rejects a VM — both indicate a bug, not a tuning problem.
+/// Fails if the EC2 catalog graphs cannot be built, a placement run
+/// rejects a VM, a simulated day fails, or a result differs between
+/// worker counts — each indicates a bug, not a tuning problem.
 pub fn run(args: &PerfArgs) -> Result<PerfReport, String> {
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let baseline_threads = *args.threads.first().ok_or("--threads must be non-empty")?;
@@ -506,6 +506,7 @@ pub fn run(args: &PerfArgs) -> Result<PerfReport, String> {
     // Stage 1: profile-graph construction (m3 space, EC2 VM set). The
     // graph must have the same shape at every width.
     let mut reference_graph: Option<ProfileGraph> = None;
+    let mut reference_shape = None;
     for &threads in &args.threads {
         prvm_par::set_global_threads(threads);
         let (graph, median, p95) = measure(args.repeats, || {
@@ -516,15 +517,7 @@ pub fn run(args: &PerfArgs) -> Result<PerfReport, String> {
         });
         let graph = graph.map_err(|e| format!("graph build failed: {e}"))?;
         let shape = (graph.node_count(), graph.edge_count());
-        if let Some(expected) = &reference_graph {
-            let want = (expected.node_count(), expected.edge_count());
-            if shape != want {
-                return Err(format!(
-                    "determinism violation: graph (nodes, edges) {shape:?} at {threads} \
-                     threads but {want:?} at {baseline_threads}"
-                ));
-            }
-        }
+        same_at_every_width(&mut reference_shape, shape, "graph (nodes, edges)", threads)?;
         sweep.push("graph_build", 0, threads, (median, p95), shape);
         reference_graph.get_or_insert(graph);
     }
@@ -644,6 +637,14 @@ pub fn run(args: &PerfArgs) -> Result<PerfReport, String> {
     eprintln!("[bench] building shared score book…");
     let book = std::sync::Arc::new(build_book(args.quantizer, &config)?);
     let book_shape = book_shape(&book);
+    let catalog_vms = catalog::ec2_vm_types();
+    let sim = SimConfig::default();
+    // The `all` preset schedules every kernel event class: arrivals, a
+    // crash and its recovery, evacuation sweeps, scans and samples.
+    let scenario = Scenario {
+        faults: FaultPlan::preset("all", sim.scans(), 77).ok_or("no `all` fault preset")?,
+        ..Scenario::default()
+    };
 
     for &n in &args.vms {
         let requests = request_batch(n, args.seed);
@@ -651,32 +652,61 @@ pub fn run(args: &PerfArgs) -> Result<PerfReport, String> {
         // Stage 5: Algorithm 2 over a prebuilt book. Placement itself is
         // sequential, so this doubles as a determinism check: the PM count
         // must match across every thread count.
-        let mut reference_pms: Option<usize> = None;
+        let mut reference_pms = None;
+        let mut placed = None;
         for &threads in &args.threads {
             prvm_par::set_global_threads(threads);
-            let (pms_used, median, p95) = measure(args.repeats, || {
+            let (cluster, median, p95) = measure(args.repeats, || {
                 let mut cluster = Cluster::homogeneous(catalog::pm_m3(), n);
                 let mut placer = PageRankVmPlacer::new(book.clone());
                 let (result, t) = Span::timed("bench.placement", || {
                     place_batch(&mut placer, &mut cluster, requests.clone())
                 });
-                (result.map(|_| cluster.active_pm_count()), ms(t))
+                (result.map(|_| cluster), ms(t))
             });
-            let pms_used = pms_used.map_err(|e| format!("placement of {n} VMs failed: {e:?}"))?;
-            match reference_pms {
-                None => reference_pms = Some(pms_used),
-                Some(expected) if expected != pms_used => {
-                    return Err(format!(
-                        "determinism violation: {n} VMs used {pms_used} PMs at {threads} \
-                         threads but {expected} at {baseline_threads}"
-                    ));
-                }
-                Some(_) => {}
-            }
+            let cluster = cluster.map_err(|e| format!("placement of {n} VMs failed: {e:?}"))?;
+            let (pms_used, what) = (cluster.active_pm_count(), format!("PMs used by {n} VMs"));
+            same_at_every_width(&mut reference_pms, pms_used, &what, threads)?;
             sweep.push("placement", n, threads, (median, p95), book_shape);
+            placed.get_or_insert(cluster);
+        }
+        let placed = placed.ok_or("no thread counts to sweep")?;
+
+        // Stage 6: one `choose` per EC2 VM type on the cluster placement
+        // left, by a fresh placer, placing nothing. One such batch takes
+        // ~0.05 ms, at the gate's floor, so a timed sample is
+        // `CHOOSE_ROUNDS` batches, each with its own fresh placer.
+        eprintln!(
+            "[bench] choose on the {n}-VM cluster: {} PMs used",
+            placed.active_pm_count()
+        );
+        let mut reference_decisions = None;
+        for &threads in &args.threads {
+            prvm_par::set_global_threads(threads);
+            let (decisions, median, p95) = measure(args.repeats, || {
+                let mut placers: Vec<_> = (0..CHOOSE_ROUNDS)
+                    .map(|_| PageRankVmPlacer::new(book.clone()))
+                    .collect();
+                let (decisions, t) = Span::timed("bench.choose", || {
+                    let mut decisions = None;
+                    for placer in &mut placers {
+                        decisions = catalog_vms
+                            .iter()
+                            .map(|vm| placer.choose(&placed, vm, &|_| false))
+                            .collect::<Option<Vec<_>>>();
+                    }
+                    decisions
+                });
+                (decisions, ms(t))
+            });
+            let decisions =
+                decisions.ok_or_else(|| format!("choose found no PM on the {n}-VM cluster"))?;
+            let what = format!("the choose decisions on the {n}-VM cluster");
+            same_at_every_width(&mut reference_decisions, decisions, &what, threads)?;
+            sweep.push("choose", n, threads, (median, p95), book_shape);
         }
 
-        // Stage 6: cold start — score book (graph + PageRank + BPRU, the
+        // Stage 7: cold start — score book (graph + PageRank + BPRU, the
         // parallel part) plus the full placement batch.
         for &threads in &args.threads {
             prvm_par::set_global_threads(threads);
@@ -693,6 +723,38 @@ pub fn run(args: &PerfArgs) -> Result<PerfReport, String> {
             });
             outcome.map_err(|e| format!("end-to-end run of {n} VMs failed: {e}"))?;
             sweep.push("end_to_end", n, threads, (median, p95), book_shape);
+        }
+
+        // Stage 8: one simulated day, FF + MMT on a PlanetLab workload
+        // sized for n VMs, under every fault class. The dispatched-event
+        // count depends on the scan count, not on n, so this is the
+        // per-day cost of the scenario, not an event rate.
+        let wl = WorkloadConfig::sized_for(n, TraceKind::PlanetLab);
+        let workload = Workload::generate(&wl, sim.scans(), args.seed);
+        let mut reference_day = None;
+        for &threads in &args.threads {
+            prvm_par::set_global_threads(threads);
+            let (day, median, p95) = measure(args.repeats, || {
+                let cluster = build_cluster(&wl);
+                let (mut placer, mut evictor) = (FirstFit::new(), MinimumMigrationTime::new());
+                let (day, t) = Span::timed("bench.event_sim", || {
+                    scenario.run(&sim, cluster, &workload, &mut placer, &mut evictor)
+                });
+                (day, ms(t))
+            });
+            let day = day.map_err(|e| format!("simulated day of {n} VMs failed: {e}"))?;
+            let dispatched = day.stats.dispatched;
+            if reference_day.is_none() {
+                eprintln!("[bench] event_sim vms={n}: {dispatched} events dispatched per day");
+            }
+            let what = format!("the simulated day of {n} VMs (outcome, dispatched events)");
+            same_at_every_width(
+                &mut reference_day,
+                (day.outcome, dispatched),
+                &what,
+                threads,
+            )?;
+            sweep.push("event_sim", n, threads, (median, p95), (0, 0));
         }
     }
     prvm_par::set_global_threads(0);
@@ -890,7 +952,9 @@ mod tests {
                 mk("full_rebuild", 0, 10),
                 mk("incremental", 0, 10),
                 mk("placement", 5, 10),
+                mk("choose", 5, 10),
                 mk("end_to_end", 5, 10),
+                mk("event_sim", 5, 0),
             ],
         }
     }
@@ -992,6 +1056,22 @@ mod tests {
         }
         let rows = gate_compare(&slow_baseline, &fresh, 0.15).unwrap();
         assert!(rows.iter().all(|r| !r.regressed));
+    }
+
+    /// A baseline whose `choose` cells alone are 1000x faster makes
+    /// exactly those cells of the fresh run regress.
+    #[test]
+    fn gate_flags_a_synthetic_slow_choose_cell() {
+        let fresh = tiny_report();
+        let mut baseline = fresh.clone();
+        for row in baseline.rows.iter_mut().filter(|r| r.stage == "choose") {
+            row.median_ms /= 1000.0;
+        }
+        let rows = gate_compare(&baseline, &fresh, 0.15).unwrap();
+        for row in &rows {
+            assert_eq!(row.regressed, row.stage == "choose", "{}", row.stage);
+        }
+        assert!(rows.iter().any(|r| r.stage == "choose"));
     }
 
     #[test]
@@ -1108,22 +1188,23 @@ mod tests {
     }
 
     /// `bench --out BENCH_PRVM.json` rewrites the perf fields and keeps
-    /// the cells other binaries merged in: an `event_sim` object already
-    /// in the file comes back unchanged, and the result still loads.
+    /// the cells other binaries merged in: a `serve_loadgen` object
+    /// already in the file comes back unchanged, and the result still
+    /// loads.
     #[test]
     fn write_keeps_foreign_top_level_keys() {
         let dir = std::env::temp_dir().join(format!("prvm-perf-keep-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_PRVM.json");
-        let cell = r#"{"schema": "prvm-event-sim/v1", "vms": 200, "events_per_sec": 72598.5}"#;
-        std::fs::write(&path, format!(r#"{{"seed": 7, "event_sim": {cell}}}"#)).unwrap();
-        let event_sim: serde::Value = serde_json::from_str(cell).unwrap();
+        let cell = r#"{"schema": "prvm-serve-loadgen/v1", "requests": 400}"#;
+        std::fs::write(&path, format!(r#"{{"seed": 7, "serve_loadgen": {cell}}}"#)).unwrap();
+        let loadgen: serde::Value = serde_json::from_str(cell).unwrap();
 
         let report = tiny_report();
         report.write(&path).unwrap();
         let doc: serde::Value =
             serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(doc.field("event_sim").unwrap(), &event_sim);
+        assert_eq!(doc.field("serve_loadgen").unwrap(), &loadgen);
         let reloaded = PerfReport::load(&path).unwrap();
         assert_eq!(reloaded.seed, report.seed, "the report's own keys win");
         assert_eq!(reloaded.rows.len(), report.rows.len());
@@ -1131,7 +1212,7 @@ mod tests {
         // A second write replaces the perf keys and still keeps the cell.
         report.write(&path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.matches("\"event_sim\"").count(), 1);
+        assert_eq!(text.matches("\"serve_loadgen\"").count(), 1);
         assert_eq!(text.matches("\"rows\"").count(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1162,12 +1243,19 @@ mod tests {
             );
         }
         let mut bad = good.clone();
+        bad.rows
+            .retain(|r| !(r.stage == "choose" && r.threads == 2));
+        assert!(bad
+            .validate()
+            .unwrap_err()
+            .contains("0 rows for choose vms=5 threads=2"));
+        let mut bad = good.clone();
         bad.rows.push(bad.rows[0].clone());
         assert!(bad
             .validate()
             .unwrap_err()
             .contains("2 rows for graph_build"));
-        // A second VM count needs its own placement and end-to-end rows
+        // A second VM count needs its own rows of every VM-count stage
         // at every width.
         let mut bad = good;
         bad.rows.push(StageRow {
@@ -1187,14 +1275,24 @@ mod tests {
         assert_eq!(back.thread_counts, report.thread_counts);
     }
 
+    /// The check behind every VM-count stage's determinism contract: the
+    /// first width sets the reference and any later difference fails the
+    /// run.
     #[test]
-    fn percentiles_are_nearest_rank() {
-        let (median, p95) = summarize(vec![3.0, 1.0, 2.0]);
-        assert_eq!(median, 2.0);
-        assert_eq!(p95, 3.0);
-        let (median, p95) = summarize(vec![5.0]);
-        assert_eq!(median, 5.0);
-        assert_eq!(p95, 5.0);
+    fn a_cross_width_mismatch_fails_the_run() {
+        let mut reference = None;
+        same_at_every_width(&mut reference, (3, 867), "the day", 1).unwrap();
+        same_at_every_width(&mut reference, (3, 867), "the day", 2).unwrap();
+        let err = same_at_every_width(&mut reference, (3, 866), "the day", 4).unwrap_err();
+        assert!(
+            err.contains("determinism violation: the day at 4 threads"),
+            "{err}"
+        );
+        assert_eq!(
+            reference,
+            Some((3, 867)),
+            "the baseline stays the reference"
+        );
     }
 
     #[test]
@@ -1230,9 +1328,18 @@ mod tests {
         main_with(&args).unwrap();
         let report = PerfReport::load(&out).unwrap();
         assert_eq!(report.thread_counts, vec![1, 2]);
-        // 2 rows each: graph, pagerank, full_rebuild, incremental,
-        // placement, end-to-end.
-        assert_eq!(report.rows.len(), 12);
+        // One row per stage and width.
+        assert_eq!(report.rows.len(), STAGES.len() * 2);
+        for stage in ["choose", "event_sim"] {
+            for threads in [1, 2] {
+                let cells = report
+                    .rows
+                    .iter()
+                    .filter(|r| r.stage == stage && r.vms == 20 && r.threads == threads)
+                    .count();
+                assert_eq!(cells, 1, "{stage} at {threads} threads");
+            }
+        }
         // The incremental extend re-discovers exactly the full graph.
         let nodes = |stage: &str| {
             report

@@ -76,8 +76,9 @@ commands:
   bench     [--vms a,b,c] [--threads a,b,c] [--repeats N] [--seed N]
             [--out FILE] [--check FILE] [--trace FILE.json]
             [--check-trace FILE.json] [--gate FILE] [--gate-threshold F]
-            perf sweep: time graph build, PageRank convergence and
-            end-to-end placement at every VM count x worker count, and
+            perf sweep: time graph build, PageRank convergence, score
+            book refresh, placement, choose, cold start and one
+            simulated day at every VM count x worker count, and
             write BENCH_PRVM.json (median/p95 ms, speedup vs the first
             worker count). --check validates an existing report instead;
             --trace also records a Chrome trace of the sweep;
@@ -826,10 +827,8 @@ fn audit_self_test() -> Result<(), String> {
     }
 }
 
-/// `pagerankvm bench`: the perf sweep behind `BENCH_PRVM.json`. The
-/// flag grammar matches [`prvm_bench::perf::PerfArgs`] directly, so the
-/// subcommand and the standalone `perf` binary accept identical
-/// invocations.
+/// `pagerankvm bench`: the perf sweep behind `BENCH_PRVM.json`, with
+/// the flag grammar of [`prvm_bench::perf::PerfArgs`].
 pub fn bench(args: &[String]) -> Result<(), String> {
     let perf_args = prvm_bench::perf::PerfArgs::try_parse(args.iter().cloned())?;
     prvm_bench::perf::main_with(&perf_args)

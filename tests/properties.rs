@@ -2,6 +2,7 @@
 //! spanning crates (the per-crate `tests/prop.rs` suites go deeper into
 //! each module).
 
+use pagerankvm::profile::place_multiset;
 use pagerankvm::{pagerank, GraphLimits, Orientation, PageRankConfig, ProfileGraph};
 use pagerankvm::{ProfileSpace, ProfileVm, ScoreBook};
 use proptest::prelude::*;
@@ -235,5 +236,41 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+// The graph builder and the placers must enumerate the same distinct
+// outcomes; more cases than the default, since both are cheap here.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn place_multiset_lists_the_outcomes_of_distinct_placements(
+        (usage, cap, demands) in (1u16..6, 1usize..7, 0usize..8).prop_flat_map(|(cap, dims, k)| (
+            prop::collection::vec(0..=cap, dims),
+            Just(cap),
+            prop::collection::vec(1..=u64::from(cap) + 1, k),
+        ))
+    ) {
+        let mut usage = usage;
+        usage.sort_unstable();
+        let mut demands = demands;
+        demands.sort_unstable_by(|a, b| b.cmp(a));
+        let used: Vec<u64> = usage.iter().map(|&u| u64::from(u)).collect();
+        let caps = vec![u64::from(cap); used.len()];
+        let mut outcomes: Vec<Vec<u16>> = distinct_placements(&used, &caps, &demands)
+            .into_iter()
+            .map(|assignment| {
+                let mut v = usage.clone();
+                for (j, &dim) in assignment.iter().enumerate() {
+                    v[dim] += u16::try_from(demands[j]).expect("demands stay small");
+                }
+                v.sort_unstable();
+                v
+            })
+            .collect();
+        outcomes.sort_unstable();
+        outcomes.dedup();
+        prop_assert_eq!(place_multiset(&usage, cap, &demands), outcomes);
     }
 }

@@ -9,6 +9,7 @@
 //! `{α,α,0,0}` and `{0,0,α,α}` map to the same canonical profile — while
 //! preserving exactly the distinctions that matter for ranking.
 
+use prvm_model::combin;
 use prvm_model::units::convert;
 use prvm_model::{QuantizedPm, QuantizedVm};
 use serde::{Deserialize, Serialize};
@@ -360,134 +361,34 @@ impl ProfileVm {
 /// (sorted descending, each on a distinct dimension) to the sorted-ascending
 /// usage multiset `usage` with uniform capacity `cap`.
 ///
-/// This is the multiset counterpart of
-/// [`prvm_model::combin::distinct_placements`]: it returns outcomes instead
-/// of index assignments, which is all the profile graph needs.
+/// The dimensions of equal usage form the groups that
+/// [`prvm_model::combin::for_each_distribution`] hands the demands out
+/// over. The outcomes come back sorted, which fixes the profile graph's
+/// node ids.
 #[must_use]
 pub fn place_multiset(usage: &[u16], cap: u16, demands: &[u64]) -> Vec<Vec<u16>> {
-    if demands.is_empty() {
-        return vec![usage.to_vec()];
-    }
-    if demands.len() > usage.len() {
-        return Vec::new();
-    }
-    // Run-length encode the usage (groups of interchangeable dimensions).
-    let mut groups: Vec<(u16, usize)> = Vec::new();
-    for &u in usage {
-        match groups.last_mut() {
-            Some((v, n)) if *v == u => *n += 1,
-            _ => groups.push((u, 1)),
-        }
-    }
-    // Run-length encode the demands.
-    let mut runs: Vec<(u64, usize)> = Vec::new();
-    for &d in demands {
-        match runs.last_mut() {
-            Some((v, n)) if *v == d => *n += 1,
-            _ => runs.push((d, 1)),
-        }
-    }
-
+    let groups = combin::run_lengths(usage.iter().copied());
     let mut results = Vec::new();
-    let mut taken = vec![0usize; groups.len()];
-    // choice[run][group] = how many demands of that run land in that group.
-    let mut choice = vec![vec![0usize; groups.len()]; runs.len()];
-
-    fn emit(
-        groups: &[(u16, usize)],
-        runs: &[(u64, usize)],
-        choice: &[Vec<usize>],
-        results: &mut Vec<Vec<u16>>,
-    ) {
-        let mut outcome = Vec::with_capacity(groups.iter().map(|&(_, n)| n).sum());
-        for (g, &(value, n)) in groups.iter().enumerate() {
-            let mut bumped = 0usize;
-            // Demands are assigned to distinct dims of the group.
-            for (r, counts) in choice.iter().enumerate() {
-                for _ in 0..counts[g] {
-                    // The recursion only assigns a demand where it fits
-                    // under `cap`, so this saturation never triggers.
-                    let demand = u16::try_from(runs[r].0).unwrap_or(u16::MAX);
-                    outcome.push(value.saturating_add(demand));
-                    bumped += 1;
-                }
-            }
-            outcome.extend(std::iter::repeat_n(value, n - bumped));
-        }
-        outcome.sort_unstable();
-        results.push(outcome);
-    }
-
-    #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-    fn rec(
-        groups: &[(u16, usize)],
-        cap: u16,
-        runs: &[(u64, usize)],
-        run: usize,
-        remaining: usize,
-        g: usize,
-        taken: &mut [usize],
-        choice: &mut [Vec<usize>],
-        results: &mut Vec<Vec<u16>>,
-    ) {
-        if remaining == 0 {
-            for slot in g..groups.len() {
-                choice[run][slot] = 0;
-            }
-            if run + 1 == runs.len() {
-                emit(groups, runs, choice, results);
-            } else {
-                let next_remaining = runs[run + 1].1;
-                rec(
-                    groups,
-                    cap,
-                    runs,
-                    run + 1,
-                    next_remaining,
-                    0,
-                    taken,
-                    choice,
-                    results,
-                );
-            }
-            return;
-        }
-        if g == groups.len() {
-            return;
-        }
-        let (value, n) = groups[g];
-        let fits = u64::from(value) + runs[run].0 <= u64::from(cap);
-        let avail = if fits { n - taken[g] } else { 0 };
-        for c in (0..=avail.min(remaining)).rev() {
-            choice[run][g] = c;
-            taken[g] += c;
-            rec(
-                groups,
-                cap,
-                runs,
-                run,
-                remaining - c,
-                g + 1,
-                taken,
-                choice,
-                results,
-            );
-            taken[g] -= c;
-        }
-        choice[run][g] = 0;
-    }
-
-    let first_remaining = runs[0].1;
-    rec(
+    combin::for_each_distribution(
         &groups,
-        cap,
-        &runs,
-        0,
-        first_remaining,
-        0,
-        &mut taken,
-        &mut choice,
-        &mut results,
+        demands,
+        |&value, d| u64::from(value) + d <= u64::from(cap),
+        |runs, choice| {
+            let mut outcome = Vec::with_capacity(usage.len());
+            for (g, &(value, n)) in groups.iter().enumerate() {
+                let mut bumped = 0;
+                for (&(demand, _), counts) in runs.iter().zip(choice) {
+                    // A demand only lands where it fits under `cap`, so
+                    // this saturation never triggers.
+                    let demand = u16::try_from(demand).unwrap_or(u16::MAX);
+                    outcome.extend(std::iter::repeat_n(value.saturating_add(demand), counts[g]));
+                    bumped += counts[g];
+                }
+                outcome.extend(std::iter::repeat_n(value, n - bumped));
+            }
+            outcome.sort_unstable();
+            results.push(outcome);
+        },
     );
     results.sort_unstable();
     results.dedup();

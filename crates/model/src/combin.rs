@@ -36,138 +36,141 @@ pub fn distinct_placements(used: &[u64], caps: &[u64], demands: &[u64]) -> Vec<V
         demands.windows(2).all(|w| w[0] >= w[1]),
         "demands must be sorted descending"
     );
-    if demands.len() > used.len() {
-        return Vec::new();
-    }
-    if demands.is_empty() {
-        return vec![Vec::new()];
-    }
-
-    // Group interchangeable dimensions: identical (used, cap) pairs.
-    let mut groups: Vec<(u64, u64, Vec<usize>)> = Vec::new();
+    // Group interchangeable dimensions: identical (used, cap) pairs are
+    // consecutive in `order`.
     let mut order: Vec<usize> = (0..used.len()).collect();
     order.sort_unstable_by_key(|&i| (used[i], caps[i]));
-    for i in order {
-        match groups.last_mut() {
-            Some((u, c, dims)) if *u == used[i] && *c == caps[i] => dims.push(i),
-            _ => groups.push((used[i], caps[i], vec![i])),
-        }
-    }
-
-    // Run-length encode demands by value (they are sorted descending).
-    let mut runs: Vec<(u64, usize)> = Vec::new();
-    for &d in demands {
-        match runs.last_mut() {
-            Some((v, k)) if *v == d => *k += 1,
-            _ => runs.push((d, 1)),
-        }
-    }
+    let groups = run_lengths(order.iter().map(|&i| (used[i], caps[i])));
 
     let mut results = Vec::new();
-    let mut taken = vec![0usize; groups.len()]; // dims consumed per group
-    let mut choice: Vec<Vec<usize>> = vec![vec![0; groups.len()]; runs.len()];
-    distribute(
-        &groups,
-        &runs,
-        0,
-        &mut taken,
-        &mut choice,
-        &mut results,
-        demands,
-    );
-
     // Distinct distributions almost always give distinct outcomes, but we do
-    // not rely on it: dedupe on the resulting usage multiset.
+    // not rely on it: keep the first assignment per resulting usage multiset.
     let mut seen = HashSet::new();
-    results.retain(|assignment: &Vec<usize>| {
-        let mut outcome = used.to_vec();
-        for (j, &dim) in assignment.iter().enumerate() {
-            outcome[dim] += demands[j];
-        }
-        outcome.sort_unstable();
-        seen.insert(outcome)
-    });
+    let mut next = vec![0usize; groups.len()]; // next unused slot of `order` per group
+    for_each_distribution(
+        &groups,
+        demands,
+        |&(u, c), d| u + d <= c,
+        |_, choice| {
+            // One representative assignment: each run hands its count per
+            // group to the next untaken dims of that group.
+            let mut start = 0;
+            for (slot, &(_, n)) in next.iter_mut().zip(&groups) {
+                *slot = start;
+                start += n;
+            }
+            let mut assignment = Vec::with_capacity(demands.len());
+            for counts in choice {
+                for (g, &count) in counts.iter().enumerate() {
+                    assignment.extend_from_slice(&order[next[g]..next[g] + count]);
+                    next[g] += count;
+                }
+            }
+            let mut outcome = used.to_vec();
+            for (&dim, &d) in assignment.iter().zip(demands) {
+                outcome[dim] += d;
+            }
+            outcome.sort_unstable();
+            if seen.insert(outcome) {
+                results.push(assignment);
+            }
+        },
+    );
     results
 }
 
-/// Recursively distribute each run of equal-valued demands over the groups.
-fn distribute(
-    groups: &[(u64, u64, Vec<usize>)],
-    runs: &[(u64, usize)],
-    run_idx: usize,
-    taken: &mut [usize],
-    choice: &mut [Vec<usize>],
-    results: &mut Vec<Vec<usize>>,
-    demands: &[u64],
-) {
-    if run_idx == runs.len() {
-        // Materialise one representative assignment: for each run, hand its
-        // chosen count per group to the next untaken dims of that group.
-        let mut cursor = vec![0usize; groups.len()];
-        let mut assignment = Vec::with_capacity(demands.len());
-        for counts in choice.iter() {
-            for (g, &count) in counts.iter().enumerate() {
-                for _ in 0..count {
-                    assignment.push(groups[g].2[cursor[g]]);
-                    cursor[g] += 1;
-                }
-            }
+/// Run-length encode `items`: each maximal run of equal items becomes
+/// `(item, run length)`.
+#[must_use]
+pub fn run_lengths<T: PartialEq>(items: impl IntoIterator<Item = T>) -> Vec<(T, usize)> {
+    let mut runs: Vec<(T, usize)> = Vec::new();
+    for item in items {
+        match runs.last_mut() {
+            Some((last, n)) if *last == item => *n += 1,
+            _ => runs.push((item, 1)),
         }
-        results.push(assignment);
+    }
+    runs
+}
+
+/// Hand `demands` (sorted descending) out over `groups` of interchangeable
+/// dimensions, one distinct dimension per demand, and call
+/// `emit(runs, choice)` once per distinct distribution. A group is
+/// `(key, size)`; a demand `d` may land in it only when `fits(key, d)`.
+/// `runs` is the run-length encoding of `demands` and `choice[r][g]` is how
+/// many of run `r`'s demands land in group `g`.
+///
+/// This is the one enumerator behind both [`distinct_placements`] and the
+/// profile graph's `place_multiset`, and its order is part of their
+/// contract: run by run, group by group, each count from high to low.
+/// Empty `demands` emit once, with nothing placed; more demands than
+/// dimensions emit nothing.
+pub fn for_each_distribution<K>(
+    groups: &[(K, usize)],
+    demands: &[u64],
+    fits: impl Fn(&K, u64) -> bool,
+    emit: impl FnMut(&[(u64, usize)], &[Vec<usize>]),
+) {
+    if demands.len() > groups.iter().map(|&(_, n)| n).sum() {
         return;
     }
+    let runs = run_lengths(demands.iter().copied());
+    let mut walk = Walk {
+        groups,
+        runs: &runs,
+        taken: vec![0; groups.len()],
+        choice: vec![vec![0; groups.len()]; runs.len()],
+        fits,
+        emit,
+    };
+    match runs.first() {
+        Some(&(_, count)) => walk.rec(0, count, 0),
+        None => (walk.emit)(&runs, &walk.choice),
+    }
+}
 
-    let (value, count) = runs[run_idx];
-    // Choose how many of this run's demands go to each group.
-    #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-    fn rec(
-        groups: &[(u64, u64, Vec<usize>)],
-        runs: &[(u64, usize)],
-        run_idx: usize,
-        value: u64,
-        remaining: usize,
-        g: usize,
-        taken: &mut [usize],
-        choice: &mut [Vec<usize>],
-        results: &mut Vec<Vec<usize>>,
-        demands: &[u64],
-    ) {
+/// The recursion state of [`for_each_distribution`].
+struct Walk<'a, K, F, E> {
+    groups: &'a [(K, usize)],
+    runs: &'a [(u64, usize)],
+    /// Dimensions consumed per group by the runs placed so far.
+    taken: Vec<usize>,
+    choice: Vec<Vec<usize>>,
+    fits: F,
+    emit: E,
+}
+
+impl<K, F, E> Walk<'_, K, F, E>
+where
+    F: Fn(&K, u64) -> bool,
+    E: FnMut(&[(u64, usize)], &[Vec<usize>]),
+{
+    /// Place the `remaining` demands of run `run` on groups `g..`, then
+    /// every later run.
+    fn rec(&mut self, run: usize, remaining: usize, g: usize) {
         if remaining == 0 {
-            // Zero out the rest of this run's row before descending.
-            for slot in g..groups.len() {
-                choice[run_idx][slot] = 0;
+            self.choice[run][g..].fill(0);
+            match self.runs.get(run + 1) {
+                Some(&(_, count)) => self.rec(run + 1, count, 0),
+                None => (self.emit)(self.runs, &self.choice),
             }
-            distribute(groups, runs, run_idx + 1, taken, choice, results, demands);
             return;
         }
-        if g == groups.len() {
+        let Some((key, size)) = self.groups.get(g) else {
             return; // demands left over, no group to hold them
-        }
-        let (used, cap, dims) = &groups[g];
-        let fits = used + value <= *cap;
-        let avail = if fits { dims.len() - taken[g] } else { 0 };
+        };
+        let avail = if (self.fits)(key, self.runs[run].0) {
+            size - self.taken[g]
+        } else {
+            0
+        };
         for c in (0..=avail.min(remaining)).rev() {
-            choice[run_idx][g] = c;
-            taken[g] += c;
-            rec(
-                groups,
-                runs,
-                run_idx,
-                value,
-                remaining - c,
-                g + 1,
-                taken,
-                choice,
-                results,
-                demands,
-            );
-            taken[g] -= c;
+            self.choice[run][g] = c;
+            self.taken[g] += c;
+            self.rec(run, remaining - c, g + 1);
+            self.taken[g] -= c;
         }
-        choice[run_idx][g] = 0;
     }
-    rec(
-        groups, runs, run_idx, value, count, 0, taken, choice, results, demands,
-    );
 }
 
 /// Find any single feasible anti-collocated assignment, or `None`.

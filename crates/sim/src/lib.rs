@@ -51,6 +51,6 @@ pub use engine::{simulate, simulate_recorded, simulate_with_audit, Scenario, Sim
 pub use kernel::{Event, EventHandler, EventRecord, Kernel, KernelStats};
 pub use multi::{simulate_multi, MultiOutcome, SchedulerReport};
 pub use prvm_faults::{FaultClock, FaultPlan};
-pub use runner::{ec2_score_book, run_repeats, sweep, Algorithm, MetricSummary};
+pub use runner::{ec2_score_book, run_repeats, Algorithm, MetricSummary};
 pub use timeseries::{ScanSample, TimeSeries};
 pub use workload::{build_cluster, DepartureModel, Workload};

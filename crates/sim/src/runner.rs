@@ -168,27 +168,6 @@ pub fn run_repeats(
     }
 }
 
-/// Sweep VM counts × algorithms, the grid behind Figs. 3 and 5–7.
-#[must_use]
-pub fn sweep(
-    algorithms: &[Algorithm],
-    vm_counts: &[usize],
-    trace_kind: prvm_traces::TraceKind,
-    book: &Arc<ScoreBook>,
-    sim: &SimConfig,
-    repeats: usize,
-    base_seed: u64,
-) -> Vec<MetricSummary> {
-    let mut rows = Vec::with_capacity(algorithms.len() * vm_counts.len());
-    for &n in vm_counts {
-        let wl = WorkloadConfig::sized_for(n, trace_kind);
-        for &algo in algorithms {
-            rows.push(run_repeats(algo, book, sim, &wl, repeats, base_seed));
-        }
-    }
-    rows
-}
-
 /// Build the score book for the EC2 catalog — the shared preprocessing
 /// step of every PageRankVM experiment.
 ///
@@ -266,30 +245,6 @@ mod tests {
         assert_eq!(s.mean_rejected, 0.0);
         assert!(s.pms_used.p1 <= s.pms_used.median);
         assert!(s.pms_used.median <= s.pms_used.p99);
-        Ok(())
-    }
-
-    #[test]
-    fn sweep_produces_grid() -> Result<(), pagerankvm::GraphError> {
-        let book = coarse_book()?;
-        let sim = SimConfig {
-            horizon_s: 900,
-            ..SimConfig::default()
-        };
-        let rows = sweep(
-            &[Algorithm::FirstFit, Algorithm::CompVm],
-            &[10, 20],
-            TraceKind::GoogleCluster,
-            &book,
-            &sim,
-            2,
-            5,
-        );
-        assert_eq!(rows.len(), 4);
-        assert!(rows.iter().any(|r| r.n_vms == 10 && r.algorithm == "FF"));
-        assert!(rows
-            .iter()
-            .any(|r| r.n_vms == 20 && r.algorithm == "CompVM"));
         Ok(())
     }
 

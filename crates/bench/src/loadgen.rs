@@ -7,8 +7,8 @@
 //! [`LOADGEN_SCHEMA`]) lands under the `serve_loadgen` key of
 //! `BENCH_PRVM.json` — alongside, not replacing, the perf sweep.
 
-use crate::percentile;
 use prvm_serve::{Client, ClientError};
+use prvm_traces::stats::percentile;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};

@@ -64,16 +64,24 @@ impl Percentiles {
         assert!(!values.is_empty(), "need at least one value");
         let mut v = values.to_vec();
         v.sort_by(f64::total_cmp);
-        let rank = |p: f64| -> f64 {
-            let idx = ((p * v.len() as f64).ceil() as usize).clamp(1, v.len()) - 1;
-            v[idx]
-        };
         Self {
-            p1: rank(0.01),
-            median: rank(0.50),
-            p99: rank(0.99),
+            p1: percentile(&v, 0.01),
+            median: percentile(&v, 0.50),
+            p99: percentile(&v, 0.99),
         }
     }
+}
+
+/// Nearest-rank `q`-quantile (`q` in `[0, 1]`) of an ascending-sorted
+/// sample: the smallest value with at least a `q` share of the sample at
+/// or below it. 0 when the sample is empty.
+#[must_use]
+pub fn percentile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 #[cfg(test)]
@@ -96,6 +104,16 @@ mod tests {
         assert_eq!(p.p1, 1.0);
         assert_eq!(p.median, 50.0);
         assert_eq!(p.p99, 99.0);
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        let sorted = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(percentile(&sorted, 0.5), 2.0);
+        assert_eq!(percentile(&sorted, 0.95), 4.0);
+        assert_eq!(percentile(&sorted, 0.0), 1.0);
+        assert_eq!(percentile(&[5.0], 0.5), 5.0);
+        assert_eq!(percentile(&[], 0.5), 0.0);
     }
 
     #[test]

@@ -4,6 +4,7 @@ use pagerankvm::{
     audit, paths_to_best, rank_stats, top_profiles, AuditReport, GraphLimits, PageRankConfig,
     ProfileSpace, ProfileVm, ScoreTable,
 };
+use prvm_bench::{report_line, report_text};
 use prvm_model::{catalog, Assignment, Quantizer};
 use prvm_obs::{LogMode, ObsConfig, Registry, Span};
 use prvm_serve::{CatalogSpec, Client, IoChaosOutcome, Server, ServerConfig, Store};
@@ -127,7 +128,7 @@ fn obs_finish(metrics: Option<String>) -> Result<(), String> {
         let json = serde_json::to_string_pretty(&snapshot).map_err(|e| e.to_string())?;
         let mut file = std::fs::File::create(&path).map_err(|e| format!("--metrics: {e}"))?;
         writeln!(file, "{json}").map_err(|e| format!("--metrics: {e}"))?;
-        println!("  metrics written to {path}");
+        report_line(format_args!("  metrics written to {path}"))?;
     }
     Ok(())
 }
@@ -144,10 +145,10 @@ fn trace_setup(
 fn trace_finish(sink: Option<(String, prvm_obs::TraceSink)>) -> Result<(), String> {
     if let Some((path, sink)) = sink {
         let stats = sink.finish().map_err(|e| format!("--trace: {e}"))?;
-        println!(
+        report_line(format_args!(
             "  trace written to {path} ({} intervals, {} worker tracks)",
             stats.intervals, stats.worker_tracks
-        );
+        ))?;
     }
     Ok(())
 }
@@ -259,18 +260,18 @@ pub fn rank(args: &[String]) -> Result<(), String> {
     .map_err(|e| e.to_string())?;
 
     let stats = rank_stats(&table);
-    println!(
+    report_line(format_args!(
         "profile space: {dims} dims x cap {cap}; {} reachable profiles, {} edges",
         stats.profiles,
         table.graph().edge_count()
-    );
-    println!(
+    ))?;
+    report_line(format_args!(
         "scores: min {:.3e}, mean {:.3e}, max {:.3e}; {:.0}% of profiles can still reach the best profile",
         stats.min,
         stats.mean,
         stats.max,
         stats.best_reaching_fraction * 100.0
-    );
+    ))?;
 
     if let Some(spec) = value_of(&f, "profile")? {
         let raw: Vec<u64> = spec
@@ -293,17 +294,17 @@ pub fn rank(args: &[String]) -> Result<(), String> {
                     .graph()
                     .node(&p)
                     .ok_or("internal error: scored profile missing from the graph")?;
-                println!(
+                report_line(format_args!(
                     "profile {p}: score {:.6e}, {} path(s) to the best profile",
                     s, paths[node as usize]
-                );
+                ))?;
             }
-            None => println!("profile {p} is not reachable by the VM set"),
+            None => report_line(format_args!("profile {p} is not reachable by the VM set"))?,
         }
     } else {
-        println!("\ntop profiles:");
+        report_line(format_args!("\ntop profiles:"))?;
         for (p, s) in top_profiles(&table, 8) {
-            println!("  {p}  {:.6e}", s);
+            report_line(format_args!("  {p}  {:.6e}", s))?;
         }
     }
     Ok(())
@@ -338,13 +339,13 @@ pub fn place(args: &[String]) -> Result<(), String> {
     placer.order_batch(&mut specs);
     let ids =
         prvm_model::place_batch(placer.as_mut(), &mut cluster, specs).map_err(|e| e.to_string())?;
-    println!(
+    report_line(format_args!(
         "{}: placed {} VMs on {} PMs (pool of {})",
         algorithm.name(),
         ids.len(),
         cluster.active_pm_count(),
         cluster.len()
-    );
+    ))?;
     // Per-type PM utilization summary.
     for pm_type in catalog::ec2_pm_types() {
         let (count, cpu): (usize, f64) = cluster
@@ -353,11 +354,11 @@ pub fn place(args: &[String]) -> Result<(), String> {
             .filter(|pm| pm.spec().name == pm_type.name)
             .fold((0, 0.0), |(c, u), pm| (c + 1, u + pm.cpu_utilization()));
         if count > 0 {
-            println!(
+            report_line(format_args!(
                 "  {}: {count} used, mean reserved CPU {:.0}%",
                 pm_type.name,
                 cpu / count as f64 * 100.0
-            );
+            ))?;
         }
     }
     drop(run_span);
@@ -422,21 +423,33 @@ pub fn simulate(args: &[String]) -> Result<(), String> {
         )
         .map_err(|e| e.to_string())?;
     let o = run.outcome;
-    println!(
+    report_line(format_args!(
         "{} over {hours} h, {n} VMs (seed {seed}):",
         algorithm.name()
-    );
-    println!("  PMs used (allocation): {}", o.pms_used_initial);
-    println!("  PMs ever used:         {}", o.pms_used);
-    println!("  energy:                {:.1} kWh", o.energy_kwh);
-    println!("  migrations:            {}", o.migrations);
-    println!("  SLO violations:        {:.3} %", o.slo_violation_pct);
-    println!("  overloaded scans:      {}", o.overload_events);
+    ))?;
+    report_line(format_args!(
+        "  PMs used (allocation): {}",
+        o.pms_used_initial
+    ))?;
+    report_line(format_args!("  PMs ever used:         {}", o.pms_used))?;
+    report_line(format_args!(
+        "  energy:                {:.1} kWh",
+        o.energy_kwh
+    ))?;
+    report_line(format_args!("  migrations:            {}", o.migrations))?;
+    report_line(format_args!(
+        "  SLO violations:        {:.3} %",
+        o.slo_violation_pct
+    ))?;
+    report_line(format_args!(
+        "  overloaded scans:      {}",
+        o.overload_events
+    ))?;
 
     if let Some(path) = value_of(&f, "csv")? {
         let mut file = std::fs::File::create(path).map_err(|e| e.to_string())?;
         run.series.write_csv(&mut file).map_err(|e| e.to_string())?;
-        println!("  per-scan time series written to {path}");
+        report_line(format_args!("  per-scan time series written to {path}"))?;
     }
     drop(run_span);
     trace_finish(trace)?;
@@ -482,32 +495,37 @@ fn simulate_multi_report(
         build_placers(1),
     )
     .map_err(|e| e.to_string())?;
-    println!(
+    report_line(format_args!(
         "{} with {schedulers} schedulers, {n} VMs (seed {seed}, commit/ack delay {commit_delay_s} s):",
         algorithm.name()
-    );
-    println!("  placed / rejected:     {} / {}", o.placed, o.rejected);
-    println!(
+    ))?;
+    report_line(format_args!(
+        "  placed / rejected:     {} / {}",
+        o.placed, o.rejected
+    ))?;
+    report_line(format_args!(
         "  conflicts:             {} detected, {} resolved (rate {:.3})",
         o.conflicts_detected, o.conflicts_resolved, o.conflict_rate
-    );
-    println!("  retries:               {}", o.retries);
-    println!(
+    ))?;
+    report_line(format_args!("  retries:               {}", o.retries))?;
+    report_line(format_args!(
         "  placement latency:     mean {:.1} s, p95 {:.1} s",
         o.latency_mean_s, o.latency_p95_s
-    );
-    println!(
+    ))?;
+    report_line(format_args!(
         "  PMs used:              {} (centralized baseline: {})",
         o.pms_used, central.pms_used
-    );
+    ))?;
     for s in &o.per_scheduler {
-        println!(
+        report_line(format_args!(
             "    scheduler {}: placed {}, rejected {}, conflicts lost {}",
             s.scheduler, s.placed, s.rejected, s.conflicts
-        );
+        ))?;
     }
     if report.is_clean() {
-        println!("  store audit:           clean (capacity + anti-collocation hold)");
+        report_line(format_args!(
+            "  store audit:           clean (capacity + anti-collocation hold)"
+        ))?;
         Ok(())
     } else {
         Err(format!(
@@ -548,17 +566,26 @@ pub fn testbed(args: &[String]) -> Result<(), String> {
         seed,
         &FaultPlan::none(),
     );
-    println!(
+    report_line(format_args!(
         "{} on the emulated GENI testbed ({} nodes, {} min, {jobs} jobs, seed {seed}):",
         algorithm.name(),
         cfg.nodes,
         minutes
-    );
-    println!("  nodes used (allocation): {}", o.pms_used_initial);
-    println!("  nodes ever used:         {}", o.pms_used);
-    println!("  kill/restart migrations: {}", o.migrations);
-    println!("  SLO violations:          {:.2} %", o.slo_violation_pct);
-    println!("  rejected jobs:           {}", o.rejected_jobs);
+    ))?;
+    report_line(format_args!(
+        "  nodes used (allocation): {}",
+        o.pms_used_initial
+    ))?;
+    report_line(format_args!("  nodes ever used:         {}", o.pms_used))?;
+    report_line(format_args!("  kill/restart migrations: {}", o.migrations))?;
+    report_line(format_args!(
+        "  SLO violations:          {:.2} %",
+        o.slo_violation_pct
+    ))?;
+    report_line(format_args!(
+        "  rejected jobs:           {}",
+        o.rejected_jobs
+    ))?;
     drop(run_span);
     obs_finish(metrics)
 }
@@ -654,16 +681,16 @@ pub fn io_chaos_matrix(seed: u64, requests: usize) -> Result<Vec<IoChaosOutcome>
 /// `pagerankvm chaos --target serve`: the I/O fault table.
 fn chaos_serve(seed: u64, requests: usize) -> Result<(), String> {
     let rows = io_chaos_matrix(seed, requests)?;
-    println!(
+    report_line(format_args!(
         "serve chaos: {} I/O fault presets x {requests} requests (seed {seed})",
         rows.len()
-    );
-    println!(
+    ))?;
+    report_line(format_args!(
         "\n{:<12} {:>6} {:>6} {:>8} {:>7} {:>5} {:>6} {:>7} {:<16}",
         "preset", "acked", "reject", "jrnl-err", "crashes", "lost", "ghost", "checks", "digest"
-    );
+    ))?;
     for row in &rows {
-        println!(
+        report_line(format_args!(
             "{:<12} {:>6} {:>6} {:>8} {:>7} {:>5} {:>6} {:>7} {:<16}",
             row.preset,
             row.acked,
@@ -674,9 +701,11 @@ fn chaos_serve(seed: u64, requests: usize) -> Result<(), String> {
             row.ghost_acks,
             row.digest_checks,
             &row.final_digest[..row.final_digest.len().min(16)]
-        );
+        ))?;
     }
-    println!("\nevery crash recovery replayed to a digest-identical state");
+    report_line(format_args!(
+        "\nevery crash recovery replayed to a digest-identical state"
+    ))?;
     Ok(())
 }
 
@@ -706,12 +735,12 @@ pub fn chaos(args: &[String]) -> Result<(), String> {
     let run_span = Span::enter("chaos");
 
     let rows = chaos_matrix(seed, scans, n)?;
-    println!(
+    report_line(format_args!(
         "chaos matrix: {} algorithms x {} fault presets ({n} VMs, {scans} scans, seed {seed})",
         Algorithm::PAPER_SET.len(),
         FaultPlan::preset_names().len()
-    );
-    println!(
+    ))?;
+    report_line(format_args!(
         "\n{:<17} {:<18} {:>4} {:>8} {:>5} {:>7} {:>6} {:>5} {:>8} {:>9}",
         "fault",
         "algorithm",
@@ -723,9 +752,9 @@ pub fn chaos(args: &[String]) -> Result<(), String> {
         "evac",
         "failmigr",
         "repair(s)"
-    );
+    ))?;
     for row in &rows {
-        println!(
+        report_line(format_args!(
             "{:<17} {:<18} {:>4} {:>8.1} {:>5} {:>7.3} {:>6} {:>5} {:>8} {:>9}",
             row.fault,
             row.algorithm,
@@ -737,7 +766,7 @@ pub fn chaos(args: &[String]) -> Result<(), String> {
             row.evacuations,
             row.failed_migrations,
             row.recovery_time_s
-        );
+        ))?;
     }
     drop(run_span);
     obs_finish(metrics)
@@ -786,11 +815,11 @@ pub fn audit(args: &[String]) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     report.merge(run.audit.unwrap_or_default());
 
-    println!(
+    report_line(format_args!(
         "audited {} over {hours} h, {n} VMs (seed {seed}):",
         algorithm.name()
-    );
-    println!("{report}");
+    ))?;
+    report_line(format_args!("{report}"))?;
     if report.is_clean() {
         Ok(())
     } else {
@@ -816,7 +845,7 @@ fn audit_self_test() -> Result<(), String> {
     );
     // A score vector that is not a distribution.
     audit::check_score_vector(&[0.5, 0.7], "self-test scores", &mut report);
-    println!("{report}");
+    report_line(format_args!("{report}"))?;
     if report.is_clean() {
         Err("self-test FAILED: injected violations were not detected".into())
     } else {
@@ -885,15 +914,15 @@ pub fn serve(args: &[String]) -> Result<(), String> {
     std::fs::create_dir_all(&store_dir).map_err(|e| format!("--store {store_dir}: {e}"))?;
     let store = Store::open(&store_dir).map_err(|e| format!("--store {store_dir}: {e}"))?;
     let handle = Server::start(&catalog_spec, store, config, &addr).map_err(|e| e.to_string())?;
-    println!(
+    report_line(format_args!(
         "prvm-serve listening on {} (store {store_dir}, {pms} PMs); SIGTERM drains",
         handle.addr()
-    );
+    ))?;
     let stats = handle.drain_on_signals().map_err(|e| e.to_string())?;
-    println!(
+    report_line(format_args!(
         "drained: {} requests ({} placed, {} evicted, {} migrated), {} shed, {} timeouts",
         stats.requests, stats.placed, stats.evicted, stats.migrated, stats.shed, stats.timeouts
-    );
+    ))?;
     Ok(())
 }
 
@@ -924,36 +953,42 @@ pub fn serve_req(args: &[String]) -> Result<(), String> {
         "place" => {
             let ty = arg.ok_or_else(|| format!("serve-req place needs a VM type\n{USAGE}"))?;
             let placed = client.place(ty).map_err(|e| e.to_string())?;
-            println!("placed vm {} ({ty}) on pm {}", placed.vm, placed.pm);
+            report_line(format_args!(
+                "placed vm {} ({ty}) on pm {}",
+                placed.vm, placed.pm
+            ))?;
         }
         "evict" => {
             let evicted = client.evict(id(arg)?).map_err(|e| e.to_string())?;
-            println!("evicted vm {} from pm {}", evicted.vm, evicted.pm);
+            report_line(format_args!(
+                "evicted vm {} from pm {}",
+                evicted.vm, evicted.pm
+            ))?;
         }
         "migrate" => {
             let moved = client.migrate(id(arg)?).map_err(|e| e.to_string())?;
-            println!(
+            report_line(format_args!(
                 "migrated vm {} from pm {} to pm {}",
                 moved.vm, moved.from, moved.to
-            );
+            ))?;
         }
         "stats" => {
             let stats = client.stats().map_err(|e| e.to_string())?;
             let json = serde_json::to_string_pretty(&stats).map_err(|e| e.to_string())?;
-            println!("{json}");
+            report_line(format_args!("{json}"))?;
         }
         "state" => {
             let stats = client.stats().map_err(|e| e.to_string())?;
             let json = serde_json::to_string_pretty(&stats.state).map_err(|e| e.to_string())?;
-            println!("{json}");
+            report_line(format_args!("{json}"))?;
         }
         "snapshot" => {
             let version = client.snapshot().map_err(|e| e.to_string())?;
-            println!("snapshot version {version}");
+            report_line(format_args!("snapshot version {version}"))?;
         }
         "drain" => {
             client.drain().map_err(|e| e.to_string())?;
-            println!("drain acknowledged");
+            report_line(format_args!("drain acknowledged"))?;
         }
         other => return Err(format!("unknown serve-req op `{other}`\n{USAGE}")),
     }
@@ -972,10 +1007,10 @@ pub fn report(args: &[String]) -> Result<(), String> {
     let summary = prvm_obs::summarize_events(std::io::BufReader::new(file))
         .map_err(|e| format!("{path}: {e}"))?;
     match format {
-        "text" => print!("{}", prvm_obs::render_report(&summary)),
+        "text" => report_text(format_args!("{}", prvm_obs::render_report(&summary)))?,
         "json" => {
             let json = serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?;
-            println!("{json}");
+            report_line(format_args!("{json}"))?;
         }
         other => return Err(format!("bad value for --format: {other} (text|json)")),
     }

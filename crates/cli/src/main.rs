@@ -41,10 +41,7 @@ fn main() -> ExitCode {
         "report" => commands::report(rest),
         "audit" => commands::audit(rest),
         "bench" => commands::bench(rest),
-        "help" | "--help" | "-h" => {
-            println!("{}", commands::USAGE);
-            Ok(())
-        }
+        "help" | "--help" | "-h" => prvm_bench::report_line(format_args!("{}", commands::USAGE)),
         other => Err(format!("unknown command `{other}`\n{}", commands::USAGE)),
     };
     match result {

@@ -18,8 +18,10 @@
 //! * the [`Quantizer`] bridging real-unit specs into the small integer
 //!   profile space the PageRank table is built over;
 //! * the [`PlacementAlgorithm`] and [`EvictionPolicy`] traits implemented by
-//!   `pagerankvm` and `prvm-baselines`, and the one PM [`scan`] they share
-//!   (Algorithm 2's [`best_of`] over used PMs, else [`first_fit`]).
+//!   `pagerankvm` and `prvm-baselines`, the one PM [`scan`] they share
+//!   (Algorithm 2's [`best_of`] over used PMs, else [`first_fit`]), and
+//!   the one overload step, [`next_migration`], that the simulator and
+//!   the testbed both run.
 //!
 //! # Example
 //!
@@ -59,7 +61,8 @@ pub use error::{ModelError, PlaceError};
 pub use pm::{Pm, PmSpec};
 pub use quantize::{QuantizedPm, QuantizedVm, Quantizer};
 pub use traits::{
-    best_of, first_fit, place_batch, scan, EvictionPolicy, PlacementAlgorithm, PlacementDecision,
+    best_of, first_fit, next_migration, place_batch, scan, EvictionPolicy, Migration,
+    PlacementAlgorithm, PlacementDecision, ScanDemand, OVERLOAD_THRESHOLD, SLO_THRESHOLD,
 };
 pub use units::{DiskGb, MemMib, Mhz};
 pub use vm::{Vm, VmSpec};

@@ -31,19 +31,15 @@ impl std::fmt::Display for SimConfigError {
 
 impl std::error::Error for SimConfigError {}
 
-/// Timing and threshold parameters of the simulated datacenter.
+/// Timing and burst parameters of the simulated datacenter. The overload
+/// and SLO thresholds are the paper's, [`prvm_model::OVERLOAD_THRESHOLD`]
+/// and [`prvm_model::SLO_THRESHOLD`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
     /// Seconds between utilization scans; the paper uses 300 s.
     pub scan_interval_s: u64,
     /// Total simulated time; the paper simulates 24 h.
     pub horizon_s: u64,
-    /// A PM whose CPU utilization exceeds this fraction is overloaded and
-    /// triggers migration; the paper uses 0.9.
-    pub overload_threshold: f64,
-    /// A scan where an active PM's demand reaches this fraction counts as
-    /// an SLO violation; the paper uses 1.0 (100 % CPU).
-    pub slo_threshold: f64,
     /// CPU burst factor: a vCPU rated `α` GHz may consume up to
     /// `burst_factor · α` when the trace drives it hot. EC2 vCPU ratings
     /// are baseline guarantees, not caps; bursting is what makes packed
@@ -53,21 +49,19 @@ pub struct SimConfig {
     /// before the engine gives up on it (fault injection only; DESIGN.md
     /// §9).
     pub evac_max_attempts: u32,
-    /// Cap, in scans, on the exponential backoff between evacuation
-    /// attempts (virtual time; fault injection only).
-    pub evac_backoff_cap_scans: usize,
 }
+
+/// Cap, in scans, on the exponential backoff between evacuation attempts
+/// (virtual time; fault injection only).
+pub const EVAC_BACKOFF_CAP_SCANS: usize = 8;
 
 impl Default for SimConfig {
     fn default() -> Self {
         Self {
             scan_interval_s: 300,
             horizon_s: 24 * 3600,
-            overload_threshold: 0.9,
-            slo_threshold: 1.0,
             burst_factor: 6.0,
             evac_max_attempts: 5,
-            evac_backoff_cap_scans: 8,
         }
     }
 }
@@ -183,7 +177,7 @@ mod tests {
         assert_eq!(c.scan_interval_s, 300);
         assert_eq!(c.horizon_s, 86400);
         assert_eq!(c.scans(), 288);
-        assert_eq!(c.overload_threshold, 0.9);
+        assert_eq!(EVAC_BACKOFF_CAP_SCANS, 8);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! its [`Scenario::departures`] add mid-horizon VM departures the old
 //! loop could not express.
 
-use crate::config::{SimConfig, SimConfigError};
+use crate::config::{SimConfig, SimConfigError, EVAC_BACKOFF_CAP_SCANS};
 use crate::energy::PowerCurve;
 use crate::kernel::{Event, EventHandler, EventRecord, Kernel, KernelStats};
 use crate::timeseries::{ScanSample, TimeSeries};
@@ -22,7 +22,10 @@ use crate::workload::{DepartureModel, Workload};
 use pagerankvm::audit::{self, AuditReport};
 use prvm_faults::{FaultClock, FaultPlan};
 use prvm_model::units::convert;
-use prvm_model::{Cluster, EvictionPolicy, Mhz, PlacementAlgorithm, PmId, VmId, VmSpec};
+use prvm_model::{
+    next_migration, Cluster, EvictionPolicy, Mhz, PlacementAlgorithm, PmId, ScanDemand, VmId,
+    VmSpec, OVERLOAD_THRESHOLD, SLO_THRESHOLD,
+};
 use prvm_obs::{event, Span};
 use prvm_traces::Trace;
 use serde::{Deserialize, Serialize};
@@ -90,25 +93,9 @@ struct VmLoad<'a> {
     trace: &'a Trace,
 }
 
-/// One PM's scan state. `curve` is resolved once per run; `demand` and
-/// `overloaded` are zeroed at the start of every scan.
-#[derive(Debug, Clone, Copy)]
-struct PmScan {
-    curve: PowerCurve,
-    demand: Mhz,
-    overloaded: bool,
-}
-
 /// `id`'s index into the dense per-VM buffers.
 fn vm_slot(id: VmId) -> Option<usize> {
     convert::u64_to_usize(id.0)
-}
-
-/// `id`'s demand this scan; zero for a VM the scan did not evaluate.
-fn scan_demand_of(scan_demand: &[Mhz], id: VmId) -> Mhz {
-    vm_slot(id)
-        .and_then(|slot| scan_demand.get(slot).copied())
-        .unwrap_or(Mhz::ZERO)
 }
 
 /// A VM knocked off a crashed PM, waiting for a successful re-placement.
@@ -212,15 +199,12 @@ impl Scenario {
         // against the simulated clock. Handles are resolved once,
         // outside the run.
         let registry = prvm_obs::Registry::global();
-        let pm_scan = cluster
+        let curves = cluster
             .pms()
             .iter()
-            .map(|pm| PmScan {
-                curve: PowerCurve::for_pm_type(&pm.spec().name),
-                demand: Mhz::ZERO,
-                overloaded: false,
-            })
+            .map(|pm| PowerCurve::for_pm_type(&pm.spec().name))
             .collect();
+        let pms = cluster.len();
         let mut driver = ScanDriver {
             sim,
             scans,
@@ -234,7 +218,9 @@ impl Scenario {
             auditor: self.audit.then(AuditReport::default),
             vm_load: Vec::new(),
             scan_demand: Vec::new(),
-            pm_scan,
+            curves,
+            pm_demand: vec![Mhz::ZERO; pms],
+            pm_overloaded: vec![false; pms],
             overloaded: Vec::new(),
             pending_evacs: Vec::new(),
             totals: Totals::default(),
@@ -425,7 +411,7 @@ fn schedule_compat(
             );
         }
         // Recovery only ever takes effect strictly after the crash and
-        // within the horizon (the old loop's `recoveries_at` contract).
+        // within the horizon; a `recover_at` at or before `at` never fires.
         if let Some(recover) = crash.recover_at {
             if recover > crash.at && recover < scans {
                 kernel.schedule(
@@ -504,8 +490,12 @@ struct ScanDriver<'a> {
     vm_load: Vec<Option<VmLoad<'a>>>,
     /// Each VM's demand this scan, by VM id (zero when not evaluated).
     scan_demand: Vec<Mhz>,
-    /// Power curve, demand and overload flag, by PM id.
-    pm_scan: Vec<PmScan>,
+    /// Power curve by PM id, resolved once per run.
+    curves: Vec<PowerCurve>,
+    /// Aggregate demand by PM id: set by the scan, moved by migrations.
+    pm_demand: Vec<Mhz>,
+    /// Whether each PM was overloaded when this scan started, by PM id.
+    pm_overloaded: Vec<bool>,
     /// This scan's overloaded PMs in `used_pms()` order.
     overloaded: Vec<PmId>,
     pending_evacs: Vec<PendingEvac>,
@@ -702,9 +692,7 @@ impl<'a> ScanDriver<'a> {
                     .field("attempts", u64::from(ev.attempts))
                     .emit();
             } else {
-                let backoff = (1usize << ev.attempts.min(16))
-                    .min(self.sim.evac_backoff_cap_scans)
-                    .max(1);
+                let backoff = (1usize << ev.attempts.min(16)).min(EVAC_BACKOFF_CAP_SCANS);
                 ev.next_attempt = t + backoff;
                 still_pending.push(ev);
             }
@@ -742,24 +730,21 @@ impl<'a> ScanDriver<'a> {
 
     /// Per-PM aggregate demand, SLO/energy staging, overload detection
     /// and the migration sweep — the body of the old scan loop.
-    #[allow(clippy::too_many_lines)]
     fn on_scan(&mut self, t: usize) {
         let Self {
             sim,
             cluster,
-            placer,
-            evictor,
             clock,
             vm_load,
             scan_demand,
-            pm_scan,
+            curves,
+            pm_demand,
+            pm_overloaded,
             overloaded,
-            auditor,
             totals,
             staged,
             scan_offline,
             scan_started,
-            max_active,
             ..
         } = self;
         let sim = *sim;
@@ -772,10 +757,8 @@ impl<'a> ScanDriver<'a> {
         // zero demand and is not overloaded.
         scan_demand.clear();
         scan_demand.resize(vm_load.len(), Mhz::ZERO);
-        for state in pm_scan.iter_mut() {
-            state.demand = Mhz::ZERO;
-            state.overloaded = false;
-        }
+        pm_demand.fill(Mhz::ZERO);
+        pm_overloaded.fill(false);
         overloaded.clear();
 
         // Per-PM aggregate demand, per-VM scan demand, SLO and energy
@@ -789,10 +772,13 @@ impl<'a> ScanDriver<'a> {
         let mut scan_energy_wh = 0.0f64;
         let mut scan_util_sum = 0.0f64;
         for pm_id in cluster.used_pms() {
-            // One PmScan per cluster PM was built with the driver, so a
-            // used PM always has one; skip-and-assert rather than panic
-            // (P001).
-            let Some(state) = pm_scan.get_mut(pm_id.0) else {
+            // The per-PM buffers were sized with the driver, so a used PM
+            // always has a slot; skip-and-assert rather than panic (P001).
+            let (Some(curve), Some(pm_total), Some(pm_flag)) = (
+                curves.get(pm_id.0),
+                pm_demand.get_mut(pm_id.0),
+                pm_overloaded.get_mut(pm_id.0),
+            ) else {
                 debug_assert!(false, "PM {pm_id:?} has no scan state");
                 continue;
             };
@@ -823,13 +809,13 @@ impl<'a> ScanDriver<'a> {
             let util = demand.fraction_of(cap);
             scan_active += 1;
             scan_util_sum += util.min(1.0);
-            if util >= sim.slo_threshold {
+            if util >= SLO_THRESHOLD {
                 scan_slo += 1;
             }
-            scan_energy_wh += state.curve.energy_wh(util, sim.scan_interval_s as f64);
-            state.demand = demand;
-            if util > sim.overload_threshold {
-                state.overloaded = true;
+            scan_energy_wh += curve.energy_wh(util, sim.scan_interval_s as f64);
+            *pm_total = demand;
+            if util > OVERLOAD_THRESHOLD {
+                *pm_flag = true;
                 overloaded.push(pm_id);
             }
         }
@@ -849,95 +835,71 @@ impl<'a> ScanDriver<'a> {
             offline: *scan_offline,
         };
 
+        self.relieve_overloads(t);
+        self.max_active = self.max_active.max(self.cluster.active_pm_count());
+        audit_step(&self.cluster, "scan migrations", self.auditor.as_mut());
+    }
+
+    /// The migration sweep: relieve each overloaded PM, in `used_pms()`
+    /// order, through the shared overload step. The sim's move is the
+    /// fault plan's in-flight coin, then `place_as`.
+    fn relieve_overloads(&mut self, t: usize) {
+        let Self {
+            cluster,
+            placer,
+            evictor,
+            clock,
+            scan_demand,
+            pm_demand,
+            pm_overloaded,
+            overloaded,
+            totals,
+            ..
+        } = self;
         for &src in overloaded.iter() {
             loop {
-                let cap = cluster.pm(src).spec().total_cpu();
-                let Some(current) = pm_scan.get(src.0).map(|state| state.demand) else {
-                    debug_assert!(false, "overloaded PM {src:?} has no scan state");
-                    break;
+                let demand = ScanDemand {
+                    threshold: OVERLOAD_THRESHOLD,
+                    pm: pm_demand,
+                    overloaded: pm_overloaded,
+                    vm: scan_demand,
                 };
-                if current.fraction_of(cap) <= sim.overload_threshold || cluster.pm(src).is_empty()
-                {
-                    break;
-                }
-                let Some(victim) =
-                    evictor.select(cluster.pm(src), &|id| scan_demand_of(scan_demand, id))
+                let Some(m) = next_migration(cluster, src, demand, &mut **evictor, &mut **placer)
                 else {
                     break;
                 };
-                let victim_demand = scan_demand_of(scan_demand, victim);
-                let Ok((_, spec, old_assignment)) = cluster.remove(victim) else {
-                    debug_assert!(false, "evictor selected a non-resident VM {}", victim.0);
-                    break;
-                };
-
-                // Destination must not be the source, must not already be
-                // overloaded, and must not *become* overloaded by this VM.
-                let exclude = |pm: PmId| -> bool {
-                    let (demand, is_overloaded) = pm_scan
-                        .get(pm.0)
-                        .map_or((Mhz::ZERO, false), |state| (state.demand, state.overloaded));
-                    if pm == src || is_overloaded {
-                        return true;
-                    }
-                    let cap = cluster.pm(pm).spec().total_cpu();
-                    (demand + victim_demand).fraction_of(cap) > sim.overload_threshold
-                };
-                let destination = placer.choose(cluster, &spec, &exclude);
-                let mut in_flight_failure = false;
-                let migrated = match &destination {
-                    Some(d) => {
-                        totals.migration_attempts += 1;
-                        if clock.migration_fails(t, victim.0, 0) {
-                            // The fault plan fails this attempt in flight:
-                            // the VM stays on its (overloaded) source.
-                            in_flight_failure = true;
-                            false
-                        } else {
-                            match cluster.place_as(victim, d.pm, spec.clone(), d.assignment.clone())
-                            {
-                                Ok(()) => true,
-                                Err(err) => {
-                                    debug_assert!(
-                                        false,
-                                        "placer returned invalid migration: {err}"
-                                    );
-                                    false
-                                }
-                            }
-                        }
-                    }
-                    None => false,
-                };
-                if migrated {
-                    let Some(d) = destination else { break };
-                    totals.migrations += 1;
-                    if let Some(dest) = pm_scan.get_mut(d.pm.0) {
-                        dest.demand += victim_demand;
-                    }
-                    if let Some(source) = pm_scan.get_mut(src.0) {
-                        source.demand = current.saturating_sub(victim_demand);
-                    }
+                totals.migration_attempts += 1;
+                let moved = if clock.migration_fails(t, m.vm.0, 0) {
+                    // The fault plan fails this attempt in flight.
+                    totals.failed_migrations += 1;
+                    prvm_obs::counter!("sim.failed_migrations");
+                    event("sim.migration_failed")
+                        .field("vm", m.vm.0)
+                        .field("scan", t)
+                        .field("kind", "overload")
+                        .emit();
+                    false
                 } else {
-                    // Nowhere to go (or the attempt failed in flight):
-                    // restore and stop evicting here.
-                    if in_flight_failure {
-                        totals.failed_migrations += 1;
-                        prvm_obs::counter!("sim.failed_migrations");
-                        event("sim.migration_failed")
-                            .field("vm", victim.0)
-                            .field("scan", t)
-                            .field("kind", "overload")
-                            .emit();
-                    }
-                    let restored = cluster.place_as(victim, src, spec, old_assignment);
-                    debug_assert!(restored.is_ok(), "restoring a just-removed VM cannot fail");
+                    let placed =
+                        cluster.place_as(m.vm, m.to.pm, m.spec.clone(), m.to.assignment.clone());
+                    debug_assert!(placed.is_ok(), "placer returned an invalid migration");
+                    placed.is_ok()
+                };
+                if !moved {
+                    // The VM stays on its (overloaded) source; stop
+                    // evicting here.
+                    m.restore(cluster);
                     break;
+                }
+                totals.migrations += 1;
+                if let Some(dest) = pm_demand.get_mut(m.to.pm.0) {
+                    *dest += m.demand;
+                }
+                if let Some(source) = pm_demand.get_mut(src.0) {
+                    *source = source.saturating_sub(m.demand);
                 }
             }
         }
-        *max_active = (*max_active).max(cluster.active_pm_count());
-        audit_step(cluster, "scan migrations", auditor.as_mut());
     }
 
     /// Fold the staged scan into the run totals, emit the per-scan

@@ -45,7 +45,7 @@ pub mod runner;
 pub mod timeseries;
 pub mod workload;
 
-pub use config::{MultiConfig, SimConfig, SimConfigError, WorkloadConfig};
+pub use config::{MultiConfig, SimConfig, SimConfigError, WorkloadConfig, EVAC_BACKOFF_CAP_SCANS};
 pub use energy::PowerCurve;
 pub use engine::{simulate, simulate_recorded, simulate_with_audit, Scenario, SimOutcome, SimRun};
 pub use kernel::{Event, EventHandler, EventRecord, Kernel, KernelStats};

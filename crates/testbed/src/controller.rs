@@ -24,7 +24,8 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use prvm_faults::FaultPlan;
 use prvm_model::units::convert;
 use prvm_model::{
-    catalog, Cluster, EvictionPolicy, Mhz, PlacementAlgorithm, PlacementDecision, PmId, VmId,
+    catalog, next_migration, Cluster, EvictionPolicy, Mhz, PlacementAlgorithm, PlacementDecision,
+    PmId, ScanDemand, VmId, SLO_THRESHOLD,
 };
 use prvm_obs::event;
 use prvm_traces::{generate, TraceKind};
@@ -113,20 +114,6 @@ fn next_message(
         return Ok(msg);
     }
     from_nodes.recv_timeout(remaining)
-}
-
-/// `demand` slot units as a fraction of a node's `cap`.
-fn utilization(demand: u64, cap: u64) -> f64 {
-    demand as f64 / cap as f64
-}
-
-/// `id`'s demand this scan; zero for a job no live node reported.
-/// Job ids are minted sequentially by the initial placement, so they
-/// index the dense per-job buffer directly.
-fn job_demand_of(job_demand: &[u64], id: VmId) -> u64 {
-    convert::u64_to_usize(id.0)
-        .and_then(|slot| job_demand.get(slot).copied())
-        .unwrap_or(0)
 }
 
 /// Mutable controller state shared by the scan loop and the
@@ -404,7 +391,7 @@ pub fn run_testbed(
     let pms_used_initial = sup.mirror.active_pm_count();
 
     // --- Scan loop ---------------------------------------------------------
-    let cap = cfg.slots_per_core * u64::from(cfg.cores_per_node);
+    let cap = cfg.pm_spec().total_cpu();
     let mut migrations = 0usize;
     let mut overload_events = 0usize;
     let mut slo_samples = 0usize;
@@ -413,9 +400,10 @@ pub fn run_testbed(
     // consumed before the live channel so ordering is preserved.
     let mut pending: VecDeque<ToController> = VecDeque::new();
     // Dense per-scan state, sized once and reset every scan: demand by job
-    // id (ids are `0..n_jobs`), demand, report and overload flags by node.
-    let mut job_demand = vec![0u64; n_jobs];
-    let mut node_demand = vec![0u64; cfg.nodes];
+    // id (ids are `0..n_jobs`, minted in order by the initial placement),
+    // demand, report and overload flags by node. One slot is one `Mhz`.
+    let mut job_demand = vec![Mhz::ZERO; n_jobs];
+    let mut node_demand = vec![Mhz::ZERO; cfg.nodes];
     let mut reported = vec![false; cfg.nodes];
     let mut overloaded = vec![false; cfg.nodes];
 
@@ -434,8 +422,8 @@ pub fn run_testbed(
         // Collect one current-scan status per non-dead node (lockstep),
         // under a shared real-time deadline. On the fault-free path every
         // agent answers immediately and the deadline is never felt.
-        job_demand.fill(0);
-        node_demand.fill(0);
+        job_demand.fill(Mhz::ZERO);
+        node_demand.fill(Mhz::ZERO);
         reported.fill(false);
         let mut awaiting = sup.state.iter().filter(|s| **s != NodeState::Dead).count();
         let deadline = Instant::now() + timeout;
@@ -457,6 +445,7 @@ pub fn run_testbed(
                     match sup.state[node] {
                         NodeState::Up => {
                             for (id, d) in job_demands {
+                                let d = Mhz(d);
                                 node_demand[node] += d;
                                 if let Some(slot) = convert::u64_to_usize(id.0)
                                     .and_then(|slot| job_demand.get_mut(slot))
@@ -506,8 +495,8 @@ pub fn run_testbed(
                 continue;
             }
             active_samples += 1;
-            let util = utilization(node_demand[node], cap);
-            if util >= cfg.slo_threshold {
+            let util = node_demand[node].fraction_of(cap);
+            if util >= SLO_THRESHOLD {
                 slo_samples += 1;
             }
             *flag = util > cfg.overload_threshold;
@@ -525,35 +514,16 @@ pub fn run_testbed(
                 continue;
             }
             loop {
-                if utilization(node_demand[src], cap) <= cfg.overload_threshold
-                    || sup.mirror.pm(PmId(src)).is_empty()
-                {
-                    break;
-                }
-                let Some(victim) = evictor.select(sup.mirror.pm(PmId(src)), &|id| {
-                    Mhz(job_demand_of(&job_demand, id))
-                }) else {
-                    break;
+                let demand = ScanDemand {
+                    threshold: cfg.overload_threshold,
+                    pm: &node_demand,
+                    overloaded: &overloaded,
+                    vm: &job_demand,
                 };
-                let victim_demand = job_demand_of(&job_demand, victim);
-                // Choose the destination BEFORE killing so an unplaceable
-                // job is never interrupted.
-                let Ok((_, spec, old_assignment)) = sup.mirror.remove(victim) else {
-                    debug_assert!(false, "evictor selected a non-resident job {}", victim.0);
-                    break;
-                };
-                let exclude = |pm: PmId| -> bool {
-                    pm.0 == src
-                        || overloaded[pm.0]
-                        || utilization(node_demand[pm.0] + victim_demand, cap)
-                            > cfg.overload_threshold
-                };
-                let Some(d) = placer.choose(&sup.mirror, &spec, &exclude) else {
-                    // Nowhere to go: put it back on the cores it never
-                    // left (the agent still runs it there) and stop
-                    // evicting here.
-                    let restored = sup.mirror.place_as(victim, PmId(src), spec, old_assignment);
-                    debug_assert!(restored.is_ok(), "restoring a just-removed job cannot fail");
+                // The destination is chosen BEFORE killing, so an
+                // unplaceable job is never interrupted.
+                let Some(m) = next_migration(&mut sup.mirror, PmId(src), demand, evictor, placer)
+                else {
                     break;
                 };
                 // Kill on the source, restart on the destination. A source
@@ -561,13 +531,13 @@ pub fn run_testbed(
                 // copy restarts wherever the placer now puts it (quarantining
                 // the source may have filled the chosen destination) and
                 // the source is quarantined.
-                let killed = match send_to_agent(&sup.to_nodes[src], src, ToNode::Kill(victim)) {
+                let killed = match send_to_agent(&sup.to_nodes[src], src, ToNode::Kill(m.vm)) {
                     Ok(()) => {
                         let kill_deadline = Instant::now() + timeout;
                         loop {
                             let remaining = kill_deadline.saturating_duration_since(Instant::now());
                             match next_message(&mut pending, &from_nodes, remaining) {
-                                Ok(ToController::Killed { job, .. }) if job.id == victim => {
+                                Ok(ToController::Killed { job, .. }) if job.id == m.vm => {
                                     break Some(job);
                                 }
                                 // Foreign late acks and stale statuses are
@@ -582,21 +552,21 @@ pub fn run_testbed(
                 let Some(job) = killed else {
                     let err = ControllerError::NodeTimeout { node: src, scan: t };
                     sup.quarantine(err, t, placer);
-                    if let Err(dead) = sup.replace(victim, src, t, placer) {
+                    if let Err(dead) = sup.replace(m.vm, src, t, placer) {
                         sup.quarantine(dead, t, placer);
                     }
                     break;
                 };
-                let dest = d.pm.0;
-                if let Err(dead) = sup.start_on(job, d) {
+                let dest = m.to.pm.0;
+                if let Err(dead) = sup.start_on(job, m.to) {
                     // Dead destination: drain it (re-placing this job
                     // with the rest) and stop evicting this source.
                     sup.quarantine(dead, t, placer);
                     break;
                 }
                 migrations += 1;
-                node_demand[dest] += victim_demand;
-                node_demand[src] = node_demand[src].saturating_sub(victim_demand);
+                node_demand[dest] += m.demand;
+                node_demand[src] = node_demand[src].saturating_sub(m.demand);
                 if sup.state[src] != NodeState::Up {
                     break;
                 }

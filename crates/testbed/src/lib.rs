@@ -60,10 +60,10 @@ pub struct TestbedConfig {
     pub scan_interval_s: u64,
     /// Experiment duration (paper: 4 h).
     pub duration_s: u64,
-    /// Overload threshold on node CPU utilization (paper: 0.9).
+    /// Overload threshold on node CPU utilization (paper:
+    /// [`prvm_model::OVERLOAD_THRESHOLD`]). The SLO threshold is the
+    /// paper's [`prvm_model::SLO_THRESHOLD`].
     pub overload_threshold: f64,
-    /// SLO threshold (paper: 1.0 — 100 % CPU).
-    pub slo_threshold: f64,
     /// Scale factor applied to the Google-trace job utilizations so the
     /// aggregate load fits the testbed's physical capacity.
     pub utilization_scale: f64,
@@ -82,8 +82,7 @@ impl Default for TestbedConfig {
             slots_per_core: 32,
             scan_interval_s: 10,
             duration_s: 4 * 3600,
-            overload_threshold: 0.9,
-            slo_threshold: 1.0,
+            overload_threshold: prvm_model::OVERLOAD_THRESHOLD,
             utilization_scale: 0.5,
             node_timeout_ms: 2000,
         }

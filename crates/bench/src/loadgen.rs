@@ -7,6 +7,7 @@
 //! [`LOADGEN_SCHEMA`]) lands under the `serve_loadgen` key of
 //! `BENCH_PRVM.json` — alongside, not replacing, the perf sweep.
 
+use prvm_faults::splitmix64;
 use prvm_serve::{Client, ClientError};
 use prvm_traces::stats::percentile;
 use serde::{Deserialize, Serialize};
@@ -213,13 +214,6 @@ impl LoadGenReport {
     }
 }
 
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// Per-connection tallies, merged into the report after the joins.
 #[derive(Default)]
 struct ConnTally {
@@ -291,7 +285,7 @@ fn run_connection(
     // over a VM id.
     let mut mine: Vec<u64> = Vec::new();
     for i in 0..requests {
-        let roll = splitmix(seed ^ splitmix(i as u64));
+        let roll = splitmix64(seed ^ splitmix64(i as u64));
         match roll % 10 {
             6 | 7 if !mine.is_empty() => {
                 let at = (roll >> 8) as usize % mine.len();
@@ -338,7 +332,7 @@ pub fn run(args: &LoadGenArgs) -> Result<LoadGenReport, String> {
         let handles: Vec<_> = (0..args.connections)
             .map(|c| {
                 let addr = args.addr.as_str();
-                let seed = splitmix(args.seed ^ (c as u64).wrapping_mul(0x9e37));
+                let seed = splitmix64(args.seed ^ (c as u64).wrapping_mul(0x9e37));
                 let budget = per_conn.min(args.requests.saturating_sub(c * per_conn));
                 scope.spawn(move || run_connection(addr, args.deadline_ms, seed, budget))
             })

@@ -103,46 +103,11 @@ pub fn top_profiles(table: &ScoreTable, k: usize) -> Vec<(Profile, f64)> {
     all
 }
 
-/// Spearman-style rank agreement between two tables over their shared
-/// profiles: the fraction of profile *pairs* the two tables order the
-/// same way (1.0 = identical ranking, 0.0 = fully inverted). Used by the
-/// orientation ablation.
-#[must_use]
-pub fn pairwise_agreement(a: &ScoreTable, b: &ScoreTable) -> f64 {
-    let shared: Vec<(f64, f64)> = a
-        .iter()
-        .filter_map(|(p, sa)| b.score(p).map(|sb| (sa, sb)))
-        .collect();
-    if shared.len() < 2 {
-        return 1.0;
-    }
-    let mut agree = 0usize;
-    let mut total = 0usize;
-    for i in 0..shared.len() {
-        for j in (i + 1)..shared.len() {
-            let (ai, bi) = shared[i];
-            let (aj, bj) = shared[j];
-            if ai == aj || bi == bj {
-                continue;
-            }
-            total += 1;
-            if ((ai > aj) && (bi > bj)) || ((ai < aj) && (bi < bj)) {
-                agree += 1;
-            }
-        }
-    }
-    if total == 0 {
-        1.0
-    } else {
-        convert::usize_to_f64(agree) / convert::usize_to_f64(total)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::GraphLimits;
-    use crate::pagerank::{Orientation, PageRankConfig};
+    use crate::pagerank::PageRankConfig;
     use crate::profile::{ProfileSpace, ProfileVm};
 
     fn paper_table() -> ScoreTable {
@@ -206,27 +171,5 @@ mod tests {
         assert!(top.windows(2).all(|w| w[0].1 >= w[1].1));
         let all = top_profiles(&t, usize::MAX);
         assert_eq!(all.len(), t.len());
-    }
-
-    #[test]
-    fn orientations_disagree_substantially() {
-        let fwd = ScoreTable::build(
-            ProfileSpace::uniform(4, 4),
-            vec![
-                ProfileVm::from_demands("[1,1]", vec![vec![1, 1]]),
-                ProfileVm::from_demands("[1,1,1,1]", vec![vec![1, 1, 1, 1]]),
-            ],
-            &PageRankConfig {
-                orientation: Orientation::TowardFuller,
-                ..PageRankConfig::default()
-            },
-            GraphLimits::default(),
-        )
-        .unwrap();
-        let rev = paper_table();
-        let agreement = pairwise_agreement(&fwd, &rev);
-        assert!(agreement < 0.9, "orientations nearly agree: {agreement}");
-        // Self-agreement is perfect.
-        assert!((pairwise_agreement(&rev, &rev) - 1.0).abs() < 1e-12);
     }
 }

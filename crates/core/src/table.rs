@@ -10,7 +10,7 @@ use crate::bpru::bpru;
 use crate::graph::{ix, GraphError, GraphLimits, ProfileGraph};
 use crate::pagerank::{pagerank, pagerank_warm, PageRankConfig, PageRankResult};
 use crate::profile::{Profile, ProfileSpace, ProfileVm};
-use prvm_model::{Pm, PmSpec, Quantizer, VmSpec};
+use prvm_model::{PmSpec, Quantizer, VmSpec};
 
 /// Final per-profile scores for one PM type:
 /// `PR(P_i) * BPRU(P_i)` (Algorithm 1, line 19).
@@ -364,16 +364,6 @@ impl ScoreBook {
         self.tables.is_empty()
     }
 
-    /// Score of a live PM's *current* profile, or `None` when the PM type
-    /// is unknown or the profile is outside the graph.
-    #[must_use]
-    pub fn score_pm(&self, pm: &Pm) -> Option<f64> {
-        let table = self.table(pm.spec())?;
-        let (cores, mem, disks) = self.quantizer.quantized_usage(pm);
-        let profile = self.usage_profile(table.space(), &cores, mem, &disks);
-        table.score(&profile)
-    }
-
     /// Canonicalise raw quantized usage into the given space.
     ///
     /// Kind order follows [`ProfileSpace::from_quantized_pm`]: cores, then
@@ -527,32 +517,6 @@ mod tests {
         assert!(book.table(&catalog::pm_m3()).is_some());
         assert!(book.table(&catalog::pm_c3()).is_some());
         assert!(book.table(&catalog::geni_pm()).is_none());
-    }
-
-    #[test]
-    fn book_scores_live_pms() {
-        let q = Quantizer {
-            core_slots: 2,
-            mem_levels: 4,
-            disk_levels: 2,
-        };
-        let book = ScoreBook::build(
-            q,
-            &[catalog::pm_m3()],
-            &catalog::ec2_vm_types(),
-            &PageRankConfig::default(),
-            GraphLimits::default(),
-        )
-        .unwrap();
-        let mut pm = Pm::new(catalog::pm_m3());
-        let empty_score = book.score_pm(&pm).expect("empty profile is reachable");
-        assert!(empty_score > 0.0);
-
-        let vm = catalog::vm_m3_large();
-        let a = pm.first_feasible(&vm).unwrap();
-        pm.place(prvm_model::VmId(0), vm, a).unwrap();
-        let placed_score = book.score_pm(&pm).expect("one-vm profile is reachable");
-        assert!(placed_score > 0.0);
     }
 
     fn table_bits(t: &ScoreTable) -> Vec<u64> {

@@ -24,7 +24,7 @@
 //! `(seed, domain, op ordinal)`, matching the rest of this crate: the
 //! same plan replays the same faults in the same order, always.
 
-use crate::mix;
+use crate::splitmix64;
 use serde::{Deserialize, Serialize};
 use std::io::{self, Cursor, Read, Seek, SeekFrom, Write};
 
@@ -274,7 +274,7 @@ impl<T: StorageFile> FaultFile<T> {
 
     /// A coin in `[0, 1)` keyed by `(domain, ordinal)`.
     fn unit(&self, domain: u64, ordinal: u64) -> f64 {
-        let h = mix(self.plan.seed ^ domain.rotate_left(32) ^ mix(ordinal));
+        let h = splitmix64(self.plan.seed ^ domain.rotate_left(32) ^ splitmix64(ordinal));
         (h >> 11) as f64 / (1u64 << 53) as f64
     }
 
@@ -284,7 +284,9 @@ impl<T: StorageFile> FaultFile<T> {
         if bound == 0 {
             return 0;
         }
-        let h = mix(self.plan.seed ^ DOMAIN_IO_DRAW.rotate_left(32) ^ mix(ordinal) ^ salt);
+        let h = splitmix64(
+            self.plan.seed ^ DOMAIN_IO_DRAW.rotate_left(32) ^ splitmix64(ordinal) ^ salt,
+        );
         (h % bound as u64) as usize
     }
 

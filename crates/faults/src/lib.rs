@@ -205,8 +205,11 @@ impl FaultPlan {
     }
 }
 
-/// splitmix64 finalizer: a strong 64-bit mix.
-pub(crate) fn mix(mut z: u64) -> u64 {
+/// The splitmix64 finalizer: a strong 64-bit mix. The workspace's one
+/// copy, shared by the fault coins, the I/O chaos matrix and `loadgen`'s
+/// request stream.
+#[must_use]
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -248,18 +251,11 @@ impl<'a> FaultClock<'a> {
             .map(|c| c.pm)
     }
 
-    /// PMs that recover at the start of scan `t`, in schedule order.
-    pub fn recoveries_at(&self, t: usize) -> impl Iterator<Item = usize> + '_ {
-        self.plan
-            .pm_crashes
-            .iter()
-            .filter(move |c| c.recover_at == Some(t) && c.at < t)
-            .map(|c| c.pm)
-    }
-
     /// A deterministic coin in `[0, 1)` for one decision.
     fn unit(&self, domain: u64, a: u64, b: u64) -> f64 {
-        let h = mix(self.plan.seed ^ domain.rotate_left(32) ^ mix(a) ^ mix(b).rotate_left(17));
+        let h = splitmix64(
+            self.plan.seed ^ domain.rotate_left(32) ^ splitmix64(a) ^ splitmix64(b).rotate_left(17),
+        );
         // 53 high bits → uniform double in [0, 1).
         (h >> 11) as f64 / (1u64 << 53) as f64
     }
@@ -302,7 +298,6 @@ mod tests {
         let clock = FaultClock::new(&plan);
         for t in 0..100 {
             assert_eq!(clock.crashes_at(t).count(), 0);
-            assert_eq!(clock.recoveries_at(t).count(), 0);
             for vm in 0..20 {
                 assert!(!clock.migration_fails(t, vm, 1));
                 assert!(clock.corrupt_utilization(t, vm).is_none());
@@ -318,16 +313,6 @@ mod tests {
         let clock = FaultClock::new(&plan);
         assert_eq!(clock.crashes_at(5).collect::<Vec<_>>(), vec![3, 7]);
         assert_eq!(clock.crashes_at(6).count(), 0);
-        assert_eq!(clock.recoveries_at(9).collect::<Vec<_>>(), vec![3]);
-        assert_eq!(clock.recoveries_at(5).count(), 0);
-    }
-
-    #[test]
-    fn recovery_before_crash_is_ignored() {
-        // recover_at <= at is a degenerate schedule; it must never fire.
-        let plan = FaultPlan::none().with_pm_crash(0, 5, Some(5));
-        let clock = FaultClock::new(&plan);
-        assert_eq!(clock.recoveries_at(5).count(), 0);
     }
 
     #[test]

@@ -57,18 +57,6 @@ impl AffinityRules {
         self
     }
 
-    /// Collocation groups.
-    #[must_use]
-    pub fn collocation_groups(&self) -> &[Vec<usize>] {
-        &self.collocate
-    }
-
-    /// Anti-collocation groups.
-    #[must_use]
-    pub fn separation_groups(&self) -> &[Vec<usize>] {
-        &self.separate
-    }
-
     /// Check the rules are internally consistent for a batch of `n`
     /// requests: indices in range, and no pair both collocated and
     /// separated.

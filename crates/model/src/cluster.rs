@@ -4,7 +4,6 @@
 use crate::assignment::Assignment;
 use crate::error::ModelError;
 use crate::pm::{Pm, PmSpec};
-use crate::units::Mhz;
 use crate::vm::VmSpec;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
@@ -185,12 +184,6 @@ impl Cluster {
         self.down.get(pm.0).copied().unwrap_or(false)
     }
 
-    /// Number of PMs currently marked down.
-    #[must_use]
-    pub fn down_pm_count(&self) -> usize {
-        self.down.iter().filter(|&&d| d).count()
-    }
-
     /// VM ids resident on one PM, in ascending id order (deterministic,
     /// for evacuation processing).
     #[must_use]
@@ -330,20 +323,6 @@ impl Cluster {
     pub fn reserve_vm_ids(&mut self, next: u64) {
         self.next_vm = self.next_vm.max(next);
     }
-
-    /// Aggregate reserved-CPU utilization across *active* PMs
-    /// (0.0 if none are active).
-    #[must_use]
-    pub fn active_cpu_utilization(&self) -> f64 {
-        let (used, cap) = self
-            .used
-            .iter()
-            .fold((Mhz::ZERO, Mhz::ZERO), |(u, c), &pm| {
-                let pm = &self.pms[pm.0];
-                (u + pm.total_cpu_used(), c + pm.spec().total_cpu())
-            });
-        used.fraction_of(cap)
-    }
 }
 
 #[cfg(test)]
@@ -425,8 +404,7 @@ mod tests {
 
         c.mark_down(PmId(1)).unwrap();
         c.mark_down(PmId(2)).unwrap();
-        assert!(c.is_down(PmId(1)));
-        assert_eq!(c.down_pm_count(), 2);
+        assert!(c.is_down(PmId(1)) && c.is_down(PmId(2)));
         assert_eq!(c.used_pms().count(), 0, "down PM hidden from used list");
         assert_eq!(c.unused_pms().collect::<Vec<_>>(), vec![PmId(0)]);
         // The VM is still resident (evacuation is the caller's job).
@@ -442,7 +420,7 @@ mod tests {
 
         // Recovery restores visibility and placements.
         c.mark_up(PmId(2)).unwrap();
-        assert_eq!(c.down_pm_count(), 1);
+        assert!(c.is_down(PmId(1)) && !c.is_down(PmId(2)));
         let a = c.pm(PmId(2)).first_feasible(&vm).unwrap();
         assert!(c.place(PmId(2), vm, a).is_ok());
         assert!(c.mark_down(PmId(9)).is_err());
@@ -459,16 +437,5 @@ mod tests {
             ids.push(c.place(PmId(0), vm.clone(), a).unwrap());
         }
         assert_eq!(c.resident_vms(PmId(0)), ids);
-    }
-
-    #[test]
-    fn active_cpu_utilization_only_counts_active_pms() {
-        let mut c = Cluster::homogeneous(catalog::pm_m3(), 2);
-        assert_eq!(c.active_cpu_utilization(), 0.0);
-        let vm = catalog::vm_m3_2xlarge(); // 8 x 600 MHz = 4800 of 20800
-        let a = c.pm(PmId(0)).first_feasible(&vm).unwrap();
-        c.place(PmId(0), vm, a).unwrap();
-        let util = c.active_cpu_utilization();
-        assert!((util - 4800.0 / 20800.0).abs() < 1e-12, "{util}");
     }
 }

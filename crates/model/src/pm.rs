@@ -195,28 +195,6 @@ impl Pm {
         self.total_disk_used().fraction_of(self.spec.total_disk())
     }
 
-    /// Per-dimension utilization vector: one entry per core, one for memory
-    /// (if the PM has memory), one per disk. This is the PM "profile" of the
-    /// paper's motivation section, in real units.
-    #[must_use]
-    pub fn utilization_profile(&self) -> Vec<f64> {
-        let mut v: Vec<f64> = self
-            .core_used
-            .iter()
-            .map(|&u| u.fraction_of(self.spec.core_mhz))
-            .collect();
-        if self.spec.memory > MemMib::ZERO {
-            v.push(self.mem_used.fraction_of(self.spec.memory));
-        }
-        v.extend(
-            self.disk_used
-                .iter()
-                .zip(self.spec.disks.iter())
-                .map(|(&u, &c)| u.fraction_of(c)),
-        );
-        v
-    }
-
     /// Quick aggregate check: does the PM have enough *total* free resource
     /// in every dimension class? Necessary but not sufficient for
     /// [`Self::first_feasible`]; used to prune candidates cheaply.
@@ -384,7 +362,6 @@ mod tests {
         let pm = pm();
         assert!(pm.is_empty());
         assert_eq!(pm.cpu_utilization(), 0.0);
-        assert_eq!(pm.utilization_profile().len(), 8 + 1 + 4);
     }
 
     #[test]

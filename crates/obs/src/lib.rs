@@ -45,7 +45,7 @@ pub use event::{event, flush, init, is_enabled, EventBuilder, LogMode, ObsConfig
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, PhaseSummary, Registry, Series,
 };
-pub use report::{render_metrics, render_report, summarize_events, ReportSummary};
+pub use report::{render_report, summarize_events, ReportSummary};
 pub use span::Span;
 pub use timeline::Timeline;
 pub use trace::{validate_chrome_trace, TraceSink, TraceStats};

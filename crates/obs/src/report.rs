@@ -1,8 +1,7 @@
 //! Run-report rendering: summarize a recorded JSONL event log (the
-//! `pagerankvm report` subcommand) or a live [`MetricsSnapshot`] into
-//! per-phase wall-time breakdowns and convergence diagnostics.
+//! `pagerankvm report` subcommand) into per-phase wall-time breakdowns
+//! and convergence diagnostics.
 
-use crate::metrics::MetricsSnapshot;
 use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -243,47 +242,6 @@ pub fn render_report(summary: &ReportSummary) -> String {
     out
 }
 
-/// Render a live [`MetricsSnapshot`] as the end-of-run report printed
-/// by the CLI.
-pub fn render_metrics(snapshot: &MetricsSnapshot) -> String {
-    let mut out = String::new();
-    if !snapshot.phases.is_empty() {
-        let _ = writeln!(out, "phase breakdown");
-        let rows: Vec<(String, u64, f64)> = snapshot
-            .phases
-            .iter()
-            .map(|p| (p.name.clone(), p.count, p.total_ms * 1e6))
-            .collect();
-        let mut rows = rows;
-        rows.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)));
-        phase_table(&mut out, &rows);
-    }
-    if !snapshot.counters.is_empty() {
-        let _ = writeln!(out, "\ncounters");
-        for (name, value) in &snapshot.counters {
-            let _ = writeln!(out, "  {name:<40} {value:>12}");
-        }
-    }
-    if !snapshot.gauges.is_empty() {
-        let _ = writeln!(out, "\ngauges");
-        for (name, value) in &snapshot.gauges {
-            let _ = writeln!(out, "  {name:<40} {value:>12.4}");
-        }
-    }
-    if !snapshot.series.is_empty() {
-        let _ = writeln!(out, "\nseries");
-        for (name, values) in &snapshot.series {
-            let last = values.last().copied().unwrap_or(f64::NAN);
-            let _ = writeln!(
-                out,
-                "  {name:<40} {:>5} points, last {last:.3e}",
-                values.len()
-            );
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,19 +326,5 @@ mod tests {
         assert_eq!(back, summary);
         assert!(json.contains("\"phases\""), "{json}");
         assert!(json.contains("place/pagerank"), "{json}");
-    }
-
-    #[test]
-    fn render_metrics_lists_counters_and_series() {
-        let reg = crate::Registry::new();
-        reg.counter("sim.migrations").add(12);
-        reg.histogram("span.scan")
-            .record_duration(std::time::Duration::from_millis(1));
-        reg.series("pagerank.residuals.1").push(0.5);
-        reg.series("pagerank.residuals.1").push(0.001);
-        let text = render_metrics(&reg.snapshot());
-        assert!(text.contains("sim.migrations"));
-        assert!(text.contains("scan"));
-        assert!(text.contains("2 points"));
     }
 }

@@ -22,7 +22,7 @@ use crate::journal::{Journal, JournalError, Op, OpKind};
 use crate::state::{CatalogSpec, ServeState, StateError};
 use crate::wire::{EvictReq, MigrateReq, PlaceReq};
 use prvm_faults::io::is_injected_crash;
-use prvm_faults::{FaultFile, IoFaultPlan};
+use prvm_faults::{splitmix64, FaultFile, IoFaultPlan};
 use prvm_model::Quantizer;
 use std::fmt;
 use std::io::Cursor;
@@ -96,13 +96,6 @@ impl From<JournalError> for ChaosError {
     fn from(e: JournalError) -> Self {
         Self::Journal(e)
     }
-}
-
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Re-arm a crash plan for the session after `reboots` recoveries: the
@@ -215,7 +208,7 @@ pub fn run_io_chaos(
         }
 
         while i < requests {
-            let roll = splitmix(seed ^ splitmix(i as u64));
+            let roll = splitmix64(seed ^ splitmix64(i as u64));
             i += 1;
             let prepared = match roll % 10 {
                 6 | 7 if !resident.is_empty() => {

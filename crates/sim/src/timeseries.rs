@@ -86,12 +86,6 @@ impl TimeSeries {
         self.samples.iter().map(|s| s.migrations).sum()
     }
 
-    /// Total PM crashes across the series.
-    #[must_use]
-    pub fn total_pm_failures(&self) -> usize {
-        self.samples.iter().map(|s| s.pm_failures).sum()
-    }
-
     /// Write the series as CSV (`scan,active_pms,mean_utilization,…`).
     ///
     /// A `&mut` reference works as the writer (C-RW-VALUE): pass
@@ -156,7 +150,6 @@ mod tests {
         ts.push(sample(2, 0, 0.5));
         assert_eq!(ts.len(), 3);
         assert_eq!(ts.total_migrations(), 3);
-        assert_eq!(ts.total_pm_failures(), 0);
         assert_eq!(ts.peak_scan(), Some(1));
     }
 

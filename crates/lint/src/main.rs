@@ -36,6 +36,8 @@ mod tokens;
 use callgraph::CallGraph;
 use rules::Finding;
 use scan::SourceFile;
+use std::fmt::Write as _;
+use std::io::{ErrorKind, Write as _};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -55,14 +57,18 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--rules" => {
+                let mut table = String::new();
                 for rule in rules::RULES {
-                    println!("{}  {}", rule.id, rule.description);
+                    let _ = writeln!(table, "{}  {}", rule.id, rule.description);
                 }
-                return ExitCode::SUCCESS;
+                return emit(&table, ExitCode::SUCCESS);
             }
             "--self-test" => {
                 return match selftest::run() {
-                    Ok(()) => ExitCode::SUCCESS,
+                    Ok(fired) => emit(
+                        &format!("prvm-lint: self-test ok — all {fired} rules fired on the seeded tree\n"),
+                        ExitCode::SUCCESS,
+                    ),
                     Err(e) => {
                         eprintln!("prvm-lint: {e}");
                         ExitCode::FAILURE
@@ -118,19 +124,32 @@ fn main() -> ExitCode {
         eprintln!("{sev}: {s}");
     }
 
-    match format {
-        Format::Text => print_text(&report),
-        Format::Json => println!(
-            "{}",
-            output::to_json(&report.findings, report.scanned, report.allowed)
-        ),
-        Format::Sarif => println!("{}", output::to_sarif(&report.findings)),
-    }
-
-    if report.findings.is_empty() && stale_ok {
+    let text = match format {
+        Format::Text => render_text(&report),
+        Format::Json => {
+            let json = output::to_json(&report.findings, report.scanned, report.allowed);
+            format!("{json}\n")
+        }
+        Format::Sarif => format!("{}\n", output::to_sarif(&report.findings)),
+    };
+    let code = if report.findings.is_empty() && stale_ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    };
+    emit(&text, code)
+}
+
+/// Print `text` to stdout and exit with `code`. A closed stdout
+/// (`prvm-lint --rules | head`) is not a failure: the reader has what it
+/// wanted. Any other write error is.
+fn emit(text: &str, code: ExitCode) -> ExitCode {
+    match std::io::stdout().lock().write_all(text.as_bytes()) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => {
+            eprintln!("prvm-lint: cannot write to stdout: {e}");
+            ExitCode::FAILURE
+        }
+        _ => code,
     }
 }
 
@@ -218,24 +237,27 @@ pub(crate) fn run_lint(root: &Path, allowlist_path: &Path) -> Result<Report, Str
     })
 }
 
-fn print_text(report: &Report) {
+fn render_text(report: &Report) -> String {
+    let mut out = String::new();
     let mut per_rule = std::collections::BTreeMap::<&str, usize>::new();
     for f in &report.findings {
         *per_rule.entry(f.rule).or_default() += 1;
-        println!("{}:{}: {}: {}", f.rel, f.line, f.rule, f.excerpt);
+        let _ = writeln!(out, "{}:{}: {}: {}", f.rel, f.line, f.rule, f.excerpt);
         if !f.detail.is_empty() {
-            println!("    {}", f.detail);
+            let _ = writeln!(out, "    {}", f.detail);
         }
-        println!("    hint: {}", f.hint);
+        let _ = writeln!(out, "    hint: {}", f.hint);
     }
     if report.findings.is_empty() {
-        println!(
+        let _ = writeln!(
+            out,
             "prvm-lint: clean — {} files scanned, {} finding(s) allowlisted ({} entries)",
             report.scanned, report.allowed, report.entries
         );
     } else {
         let by_rule: Vec<String> = per_rule.iter().map(|(r, c)| format!("{r}×{c}")).collect();
-        println!(
+        let _ = writeln!(
+            out,
             "prvm-lint: {} finding(s) [{}] in {} files ({} allowlisted); see `--rules` and lint.toml",
             report.findings.len(),
             by_rule.join(", "),
@@ -243,6 +265,7 @@ fn print_text(report: &Report) {
             report.allowed
         );
     }
+    out
 }
 
 /// Locate the workspace root: walk up from the current directory until a

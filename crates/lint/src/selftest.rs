@@ -98,8 +98,8 @@ pub fn pump(rx: &Receiver<u32>) {
 }
 ";
 
-/// Run the self-test; `Ok(())` when every expected rule fired.
-pub fn run() -> Result<(), String> {
+/// Run the self-test; `Ok` with the rule count when every rule fired.
+pub fn run() -> Result<usize, String> {
     let root = std::env::temp_dir().join(format!("prvm-lint-selftest-{}", std::process::id()));
     let result = seeded_run(&root);
     let _ = std::fs::remove_dir_all(&root); // best-effort cleanup
@@ -110,11 +110,7 @@ pub fn run() -> Result<(), String> {
         .filter(|id| !fired.iter().any(|f| f == id))
         .collect();
     if missing.is_empty() {
-        println!(
-            "prvm-lint: self-test ok — all {} rules fired on the seeded tree",
-            RULES.len()
-        );
-        Ok(())
+        Ok(RULES.len())
     } else {
         Err(format!(
             "self-test FAILED: seeded violations for {} went undetected (fired: {})",

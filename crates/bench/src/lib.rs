@@ -375,10 +375,10 @@ pub fn testbed_sweep(args: &CliArgs) -> TestbedSweep {
     for &jobs in &args.jobs {
         for algo in Algorithm::PAPER_SET {
             let t = Instant::now();
-            // Repeats stay sequential on purpose: unlike the simulator's
-            // virtual clock, testbed jobs race real-time deadlines
-            // (`recv_timeout`), so parallel repeats would contend for CPU
-            // and could flip SLO outcomes nondeterministically.
+            // Repeats run one after another. Each is a pure function of
+            // its seed (the node agents run in-process on the virtual
+            // clock), so running them on the worker pool as
+            // `prvm_sim::run_repeats` does would change only wall time.
             let outcomes: Vec<TestbedOutcome> = (0..args.repeats)
                 .map(|r| {
                     let seed = args.seed.wrapping_add(r as u64);

@@ -4,9 +4,9 @@
 //! PM crashes and recoveries at fixed scans, transient migration failures
 //! with probability `p`, node-agent kills and stalls at fixed ticks, and
 //! trace-reading corruption. A [`FaultClock`] answers point queries about
-//! the plan ("does this migration attempt fail?", "which PMs crash at
-//! scan t?") so the sim engine and testbed controller can consult it
-//! inline without threading any RNG state through their loops.
+//! the plan ("does this migration attempt fail?", "is this utilization
+//! read corrupted?") so the sim engine can consult it inline without
+//! threading any RNG state through its loops.
 //!
 //! Two properties are load-bearing:
 //!
@@ -42,8 +42,9 @@ pub struct PmCrash {
 /// Faults applied to one testbed node agent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AgentFault {
-    /// The agent's thread exits when it receives the tick for this time
-    /// step — a hard, permanent node loss from the controller's view.
+    /// The agent dies at the tick for this time step: that tick goes
+    /// unanswered and every later call is refused — a hard, permanent
+    /// node loss from the controller's view.
     pub die_at_tick: Option<usize>,
     /// The agent swallows ticks in `[from, from + ticks)` without
     /// responding, then resumes — a transient stall/partition.
@@ -128,7 +129,7 @@ impl FaultPlan {
         self
     }
 
-    /// Kill a node agent's thread at a tick (builder style).
+    /// Kill a node agent at a tick (builder style).
     pub fn with_agent_kill(mut self, node: usize, at_tick: usize) -> Self {
         self.agent_faults.push((
             node,
@@ -242,15 +243,6 @@ impl<'a> FaultClock<'a> {
         self.plan
     }
 
-    /// PMs that crash at the start of scan `t`, in schedule order.
-    pub fn crashes_at(&self, t: usize) -> impl Iterator<Item = usize> + '_ {
-        self.plan
-            .pm_crashes
-            .iter()
-            .filter(move |c| c.at == t)
-            .map(|c| c.pm)
-    }
-
     /// A deterministic coin in `[0, 1)` for one decision.
     fn unit(&self, domain: u64, a: u64, b: u64) -> f64 {
         let h = splitmix64(
@@ -297,22 +289,11 @@ mod tests {
         assert!(plan.is_empty());
         let clock = FaultClock::new(&plan);
         for t in 0..100 {
-            assert_eq!(clock.crashes_at(t).count(), 0);
             for vm in 0..20 {
                 assert!(!clock.migration_fails(t, vm, 1));
                 assert!(clock.corrupt_utilization(t, vm).is_none());
             }
         }
-    }
-
-    #[test]
-    fn crash_and_recovery_schedules_resolve() {
-        let plan = FaultPlan::none()
-            .with_pm_crash(3, 5, Some(9))
-            .with_pm_crash(7, 5, None);
-        let clock = FaultClock::new(&plan);
-        assert_eq!(clock.crashes_at(5).collect::<Vec<_>>(), vec![3, 7]);
-        assert_eq!(clock.crashes_at(6).count(), 0);
     }
 
     #[test]

@@ -2,25 +2,22 @@
 //! for running the VM placement algorithms to assign the jobs").
 //!
 //! The controller keeps a mirror [`Cluster`] for placement decisions,
-//! drives virtual time in 10-second ticks, collects per-node status over
-//! channels, and performs kill-and-restart migrations off overloaded nodes.
+//! drives virtual time in 10-second ticks, calls each [`NodeAgent`] for its
+//! status, and performs kill-and-restart migrations off overloaded nodes.
 //!
 //! ## Failure handling
 //!
-//! Early versions panicked the moment any agent channel misbehaved. The
-//! controller now degrades instead (DESIGN.md §9): losing contact with a
-//! node is a typed [`ControllerError`] naming the node, the node is
-//! **quarantined** — its mirror capacity withdrawn, its jobs re-placed
-//! through the same placement algorithm — and a quarantined node that
-//! reports again is reset and readmitted. The only panics left are for
-//! genuine bugs (the mirror rejecting the algorithm's own decision). On
-//! the paper path (no [`FaultPlan`]) nothing times out and the run is
-//! byte-identical to the pre-fault-layer controller.
+//! The controller degrades instead of panicking (DESIGN.md §9): losing
+//! contact with a node is a typed [`ControllerError`] naming the node, the
+//! node is **quarantined** — its mirror capacity withdrawn, its jobs
+//! re-placed through the same placement algorithm — and a quarantined node
+//! that reports again is reset and readmitted. The only panics left are
+//! for genuine bugs (the mirror rejecting the algorithm's own decision, or
+//! disagreeing with an agent about which jobs it holds). On the paper path
+//! (no [`FaultPlan`]) every agent answers every tick.
 
-use crate::messages::{JobHandle, ToController, ToNode};
-use crate::node::NodeAgent;
+use crate::node::{JobHandle, NodeAgent};
 use crate::{TestbedConfig, TestbedOutcome};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use prvm_faults::FaultPlan;
 use prvm_model::units::convert;
 use prvm_model::{
@@ -31,20 +28,19 @@ use prvm_obs::event;
 use prvm_traces::{generate, TraceKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, VecDeque};
-use std::time::{Duration, Instant};
+use std::collections::HashMap;
 
 /// Why the controller lost contact with a node agent. Every variant names
 /// the node, so logs and quarantine events always say *which* agent went
 /// away — not just that one did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ControllerError {
-    /// The agent's channel endpoint is closed: its thread exited.
+    /// The agent has died and refuses every call.
     NodeDisconnected {
-        /// Index of the node whose agent hung up.
+        /// Index of the dead node.
         node: usize,
     },
-    /// The agent failed to report within [`TestbedConfig::node_timeout_ms`].
+    /// The agent stayed silent at a tick.
     NodeTimeout {
         /// Index of the unresponsive node.
         node: usize,
@@ -57,7 +53,7 @@ impl std::fmt::Display for ControllerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::NodeDisconnected { node } => {
-                write!(f, "node {node} disconnected: agent channel closed")
+                write!(f, "node {node} disconnected: agent refuses calls")
             }
             Self::NodeTimeout { node, scan } => {
                 write!(f, "node {node} timed out at scan {scan}")
@@ -84,42 +80,14 @@ enum NodeState {
     Up,
     /// Unresponsive: capacity withdrawn, jobs re-placed; may rejoin.
     Quarantined,
-    /// Channel disconnected: never coming back.
+    /// Agent dead: never coming back.
     Dead,
-}
-
-/// Send to one agent. `Err` means the agent thread is gone; the caller
-/// decides whether that is a fault to absorb or a bug to surface.
-fn send_to_agent(tx: &Sender<ToNode>, node: usize, msg: ToNode) -> Result<(), ControllerError> {
-    tx.send(msg)
-        .map_err(|_| ControllerError::NodeDisconnected { node })
-}
-
-/// Which node a controller-bound message came from.
-fn message_source(msg: &ToController) -> usize {
-    match msg {
-        ToController::Status { node, .. } | ToController::Killed { node, .. } => *node,
-    }
-}
-
-/// Receive the next controller-bound message: buffered messages (kept
-/// aside by a rejoin drain) first, then the live channel under the
-/// remaining deadline budget.
-fn next_message(
-    pending: &mut VecDeque<ToController>,
-    from_nodes: &Receiver<ToController>,
-    remaining: Duration,
-) -> Result<ToController, RecvTimeoutError> {
-    if let Some(msg) = pending.pop_front() {
-        return Ok(msg);
-    }
-    from_nodes.recv_timeout(remaining)
 }
 
 /// Mutable controller state shared by the scan loop and the
 /// failure-recovery paths.
 struct Supervisor {
-    to_nodes: Vec<Sender<ToNode>>,
+    agents: Vec<NodeAgent>,
     state: Vec<NodeState>,
     mirror: Cluster,
     /// Last-known handle of every live job, so jobs on a dead node can be
@@ -144,7 +112,7 @@ impl Supervisor {
             ..job
         };
         self.registry.insert(handle.id, handle.clone());
-        send_to_agent(&self.to_nodes[d.pm.0], d.pm.0, ToNode::Start(handle))
+        self.agents[d.pm.0].start(handle)
     }
 
     /// Restart registered job `vm`, already out of the mirror, wherever
@@ -239,50 +207,20 @@ impl Supervisor {
         }
     }
 
-    /// A quarantined node reported again with a current-scan status:
-    /// readmit it. Its jobs were already re-placed, so the agent is reset
-    /// to empty before its capacity returns.
-    ///
-    /// Before `Reset` is sent, every in-flight message is drained from
-    /// the shared channel: anything this node sent before it sees the
-    /// reset (stale statuses from its tick backlog, late kill acks) is
-    /// void and must not linger to be misread by a later handshake loop.
-    /// Previously those leftovers were absorbed only when a
-    /// `recv_timeout` happened to expire past them — a flaky-by-design
-    /// window. Messages from *other* nodes are kept, in order, in
-    /// `pending` for the caller to process normally.
-    fn rejoin(
-        &mut self,
-        node: usize,
-        scan: usize,
-        placer: &mut dyn PlacementAlgorithm,
-        from_nodes: &Receiver<ToController>,
-        pending: &mut VecDeque<ToController>,
-    ) {
+    /// A quarantined node answered the current tick: readmit it. Its jobs
+    /// were already re-placed, so the agent is reset to empty before its
+    /// capacity returns.
+    fn rejoin(&mut self, node: usize, scan: usize) {
         debug_assert_eq!(self.state[node], NodeState::Quarantined);
-        pending.retain(|msg| message_source(msg) != node);
-        while let Ok(msg) = from_nodes.try_recv() {
-            if message_source(&msg) != node {
-                pending.push_back(msg);
-            }
-        }
-        match send_to_agent(&self.to_nodes[node], node, ToNode::Reset) {
-            Ok(()) => {
-                self.state[node] = NodeState::Up;
-                let up = self.mirror.mark_up(PmId(node));
-                debug_assert!(up.is_ok(), "node index is in range");
-                self.rejoined_nodes += 1;
-                event("testbed.node_rejoined")
-                    .field("node", node)
-                    .field("scan", scan)
-                    .emit();
-            }
-            Err(err) => {
-                // Died between its status and our reset; it holds no
-                // jobs, so this only finalizes the state.
-                self.quarantine(err, scan, placer);
-            }
-        }
+        self.agents[node].reset();
+        self.state[node] = NodeState::Up;
+        let up = self.mirror.mark_up(PmId(node));
+        debug_assert!(up.is_ok(), "node index is in range");
+        self.rejoined_nodes += 1;
+        event("testbed.node_rejoined")
+            .field("node", node)
+            .field("scan", scan)
+            .emit();
     }
 
     /// Every job in the mirror has a registry handle pinned to the same
@@ -305,19 +243,19 @@ impl Supervisor {
 /// `placer`/`evictor` for the configured duration, with node agents
 /// killed or stalled per `faults`' [`prvm_faults::AgentFault`]s.
 ///
-/// Spawns one agent thread per node; fully deterministic under `seed`
-/// (ticks are lockstep). The controller quarantines unresponsive nodes
-/// (withdrawing their mirror capacity and re-placing their jobs),
-/// readmits nodes that report again, and always returns a complete —
-/// possibly degraded — [`TestbedOutcome`]. With [`FaultPlan::none`] no
-/// timeout ever fires: that is the paper path.
+/// Fully deterministic under `seed` and `faults`. The controller
+/// quarantines unresponsive nodes (withdrawing their mirror capacity and
+/// re-placing their jobs), readmits nodes that report again, and always
+/// returns a complete — possibly degraded — [`TestbedOutcome`]. With
+/// [`FaultPlan::none`] every node answers every tick: that is the paper
+/// path.
 ///
 /// # Panics
 ///
-/// Panics only if the mirror cluster rejects a placement decision (a bug,
-/// not an expected runtime condition).
+/// Panics only if the mirror cluster rejects a placement decision or an
+/// agent lacks a job the mirror places on it (bugs, not expected runtime
+/// conditions).
 #[must_use]
-#[allow(clippy::too_many_lines)]
 pub fn run_testbed(
     cfg: &TestbedConfig,
     n_jobs: usize,
@@ -328,27 +266,11 @@ pub fn run_testbed(
 ) -> TestbedOutcome {
     let scans = cfg.scans();
     let mut rng = StdRng::seed_from_u64(seed);
-    let timeout = Duration::from_millis(cfg.node_timeout_ms);
-
-    // --- Spawn node agents ----------------------------------------------
-    let (to_controller, from_nodes): (Sender<ToController>, Receiver<ToController>) = unbounded();
-    let mut to_nodes: Vec<Sender<ToNode>> = Vec::with_capacity(cfg.nodes);
-    let mut handles = Vec::with_capacity(cfg.nodes);
-    for node in 0..cfg.nodes {
-        let (tx, rx) = unbounded();
-        to_nodes.push(tx);
-        let mut agent = NodeAgent::new(node, cfg.slots_per_core, rx, to_controller.clone());
-        if let Some(fault) = faults.agent_fault(node) {
-            agent = agent.with_fault(fault);
-        }
-        handles.push(std::thread::spawn(move || agent.run()));
-    }
-    // Only agents hold senders now, so a fully-dead fleet is observable
-    // as a disconnect rather than an eternal block.
-    drop(to_controller);
 
     let mut sup = Supervisor {
-        to_nodes,
+        agents: (0..cfg.nodes)
+            .map(|node| NodeAgent::new(node, cfg.slots_per_core, faults.agent_fault(node)))
+            .collect(),
         state: vec![NodeState::Up; cfg.nodes],
         mirror: Cluster::homogeneous(cfg.pm_spec(), cfg.nodes),
         registry: HashMap::new(),
@@ -383,10 +305,9 @@ pub fn run_testbed(
             assignment: d.assignment.clone(),
             trace,
         };
-        // Agents cannot die before the first tick, so a send failure here
-        // is unreachable; absorb it anyway.
-        let sent = sup.start_on(job, d);
-        debug_assert!(sent.is_ok(), "agent died before the first tick");
+        // Agents die only at a tick, so none refuses a job here.
+        let started = sup.start_on(job, d);
+        debug_assert!(started.is_ok(), "agent died before the first tick");
     }
     let pms_used_initial = sup.mirror.active_pm_count();
 
@@ -396,9 +317,6 @@ pub fn run_testbed(
     let mut overload_events = 0usize;
     let mut slo_samples = 0usize;
     let mut active_samples = 0usize;
-    // Messages set aside by a rejoin drain (see [`Supervisor::rejoin`]),
-    // consumed before the live channel so ordering is preserved.
-    let mut pending: VecDeque<ToController> = VecDeque::new();
     // Dense per-scan state, sized once and reset every scan: demand by job
     // id (ids are `0..n_jobs`, minted in order by the initial placement),
     // demand, report and overload flags by node. One slot is one `Mhz`.
@@ -408,81 +326,48 @@ pub fn run_testbed(
     let mut overloaded = vec![false; cfg.nodes];
 
     for t in 0..scans {
+        // Tick every non-dead node in index order and add the demands of
+        // the `Up` ones. Quarantined nodes still get ticks so a merely
+        // stalled agent can answer and rejoin. A dead agent is drained at
+        // once, so the nodes ticked after it see its re-placed jobs.
+        job_demand.fill(Mhz::ZERO);
+        node_demand.fill(Mhz::ZERO);
+        reported.fill(false);
         for node in 0..cfg.nodes {
             if sup.state[node] == NodeState::Dead {
                 continue;
             }
-            // Quarantined nodes still get ticks so a merely-stalled agent
-            // can answer a current one and rejoin.
-            if let Err(e) = send_to_agent(&sup.to_nodes[node], node, ToNode::Tick { t }) {
-                sup.quarantine(e, t, placer);
+            let job_demands = match sup.agents[node].tick(t) {
+                Ok(Some(job_demands)) => job_demands,
+                Ok(None) => continue,
+                Err(dead) => {
+                    sup.quarantine(dead, t, placer);
+                    continue;
+                }
+            };
+            reported[node] = true;
+            if sup.state[node] != NodeState::Up {
+                continue;
+            }
+            for (id, d) in job_demands {
+                node_demand[node] += d;
+                if let Some(slot) =
+                    convert::u64_to_usize(id.0).and_then(|slot| job_demand.get_mut(slot))
+                {
+                    *slot = d;
+                }
             }
         }
-
-        // Collect one current-scan status per non-dead node (lockstep),
-        // under a shared real-time deadline. On the fault-free path every
-        // agent answers immediately and the deadline is never felt.
-        job_demand.fill(Mhz::ZERO);
-        node_demand.fill(Mhz::ZERO);
-        reported.fill(false);
-        let mut awaiting = sup.state.iter().filter(|s| **s != NodeState::Dead).count();
-        let deadline = Instant::now() + timeout;
-        while awaiting > 0 {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match next_message(&mut pending, &from_nodes, remaining) {
-                Ok(ToController::Status {
-                    node,
-                    t: rt,
-                    job_demands,
-                }) => {
-                    if rt != t || reported[node] {
-                        // A stale answer from a previously-stalled agent
-                        // (its jobs were re-placed; the demands are void).
-                        continue;
-                    }
-                    reported[node] = true;
-                    awaiting -= 1;
-                    match sup.state[node] {
-                        NodeState::Up => {
-                            for (id, d) in job_demands {
-                                let d = Mhz(d);
-                                node_demand[node] += d;
-                                if let Some(slot) = convert::u64_to_usize(id.0)
-                                    .and_then(|slot| job_demand.get_mut(slot))
-                                {
-                                    *slot = d;
-                                }
-                            }
-                        }
-                        // A current-scan status from a quarantined node
-                        // means it is back; readmit it (empty) and ignore
-                        // the demands of its already-re-placed jobs.
-                        NodeState::Quarantined => {
-                            sup.rejoin(node, t, placer, &from_nodes, &mut pending);
-                        }
-                        NodeState::Dead => {}
-                    }
-                }
-                // A late kill acknowledgment from a node that timed out
-                // mid-handshake; the job was already recovered.
-                Ok(ToController::Killed { .. }) => {}
-                // Out of time: every live node that has not reported is a
-                // straggler. Out of senders: every agent thread is gone.
-                Err(e) => {
-                    let disconnected = e == RecvTimeoutError::Disconnected;
-                    for (node, &answered) in reported.iter().enumerate() {
-                        if sup.state[node] != NodeState::Up || (answered && !disconnected) {
-                            continue;
-                        }
-                        let err = if disconnected {
-                            ControllerError::NodeDisconnected { node }
-                        } else {
-                            ControllerError::NodeTimeout { node, scan: t }
-                        };
-                        sup.quarantine(err, t, placer);
-                    }
-                    awaiting = 0;
-                }
+        // Readmit (empty) every quarantined node that answered, then
+        // quarantine every `Up` node that stayed silent.
+        for (node, &answered) in reported.iter().enumerate() {
+            if answered && sup.state[node] == NodeState::Quarantined {
+                sup.rejoin(node, t);
+            }
+        }
+        for (node, &answered) in reported.iter().enumerate() {
+            if !answered && sup.state[node] == NodeState::Up {
+                sup.quarantine(ControllerError::NodeTimeout { node, scan: t }, t, placer);
             }
         }
 
@@ -526,37 +411,11 @@ pub fn run_testbed(
                 else {
                     break;
                 };
-                // Kill on the source, restart on the destination. A source
-                // that dies mid-handshake forfeits the job: the registry
-                // copy restarts wherever the placer now puts it (quarantining
-                // the source may have filled the chosen destination) and
-                // the source is quarantined.
-                let killed = match send_to_agent(&sup.to_nodes[src], src, ToNode::Kill(m.vm)) {
-                    Ok(()) => {
-                        let kill_deadline = Instant::now() + timeout;
-                        loop {
-                            let remaining = kill_deadline.saturating_duration_since(Instant::now());
-                            match next_message(&mut pending, &from_nodes, remaining) {
-                                Ok(ToController::Killed { job, .. }) if job.id == m.vm => {
-                                    break Some(job);
-                                }
-                                // Foreign late acks and stale statuses are
-                                // dropped; rejoins wait for the next scan.
-                                Ok(_) => {}
-                                Err(_) => break None,
-                            }
-                        }
-                    }
-                    Err(_) => None,
-                };
-                let Some(job) = killed else {
-                    let err = ControllerError::NodeTimeout { node: src, scan: t };
-                    sup.quarantine(err, t, placer);
-                    if let Err(dead) = sup.replace(m.vm, src, t, placer) {
-                        sup.quarantine(dead, t, placer);
-                    }
-                    break;
-                };
+                // Kill on the source, restart on the destination. The source
+                // answered this tick, so its agent is alive and holds the job.
+                let job = sup.agents[src]
+                    .kill(m.vm)
+                    .unwrap_or_else(|| panic!("node {src} does not hold job {}", m.vm.0));
                 let dest = m.to.pm.0;
                 if let Err(dead) = sup.start_on(job, m.to) {
                     // Dead destination: drain it (re-placing this job
@@ -567,25 +426,12 @@ pub fn run_testbed(
                 migrations += 1;
                 node_demand[dest] += m.demand;
                 node_demand[src] = node_demand[src].saturating_sub(m.demand);
-                if sup.state[src] != NodeState::Up {
-                    break;
-                }
             }
         }
         debug_assert!(
             sup.mirror_matches_registry(),
             "mirror and registry disagree after scan {t}"
         );
-    }
-
-    // --- Shutdown -----------------------------------------------------------
-    for (node, tx) in sup.to_nodes.iter().enumerate() {
-        if sup.state[node] != NodeState::Dead {
-            let _ = tx.send(ToNode::Shutdown);
-        }
-    }
-    for h in handles {
-        h.join().unwrap_or_else(|_| panic!("agent thread panicked"));
     }
 
     TestbedOutcome {

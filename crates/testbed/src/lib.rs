@@ -7,10 +7,11 @@
 //! controller scans utilization; overloaded nodes have jobs killed and
 //! restarted elsewhere (the testbed's migration).
 //!
-//! This crate emulates that deployment with one thread per node agent and
-//! a controller exchanging typed messages over `crossbeam` channels under
-//! a lockstep virtual clock, so the same control-plane logic runs without
-//! real machines (DESIGN.md §4).
+//! This crate emulates that deployment in one process: the controller
+//! calls each node agent directly under a lockstep virtual clock, so the
+//! same control-plane logic runs without real machines and without wall
+//! time (DESIGN.md §4). A faulty agent answers a tick with silence or
+//! refuses calls once dead; no outcome depends on how fast anything runs.
 //!
 //! ## Capacity note
 //!
@@ -35,12 +36,10 @@
 #![warn(missing_docs)]
 
 pub mod controller;
-pub mod messages;
 pub mod node;
 
 pub use controller::{run_testbed, ControllerError};
-pub use messages::{JobHandle, ToController, ToNode};
-pub use node::NodeAgent;
+pub use node::{JobHandle, NodeAgent};
 pub use prvm_faults::{AgentFault, FaultPlan, StallWindow};
 
 use prvm_model::{MemMib, Mhz, PmSpec};
@@ -67,11 +66,6 @@ pub struct TestbedConfig {
     /// Scale factor applied to the Google-trace job utilizations so the
     /// aggregate load fits the testbed's physical capacity.
     pub utilization_scale: f64,
-    /// How long the controller waits for a node's status before
-    /// quarantining it (real time — the one wall-clock knob in an
-    /// otherwise virtual-time protocol). Never felt on the fault-free
-    /// path, where every agent answers immediately.
-    pub node_timeout_ms: u64,
 }
 
 impl Default for TestbedConfig {
@@ -84,7 +78,6 @@ impl Default for TestbedConfig {
             duration_s: 4 * 3600,
             overload_threshold: prvm_model::OVERLOAD_THRESHOLD,
             utilization_scale: 0.5,
-            node_timeout_ms: 2000,
         }
     }
 }

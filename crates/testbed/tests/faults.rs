@@ -69,7 +69,6 @@ fn empty_plan_is_byte_identical_to_pre_fault_golden() {
 fn killed_agent_mid_run_degrades_without_panicking() {
     let cfg = TestbedConfig {
         duration_s: 120, // 12 ticks
-        node_timeout_ms: 400,
         ..TestbedConfig::default()
     };
     // FirstFit packs node 0 first, so killing it strands real jobs.
@@ -94,7 +93,6 @@ fn killed_agent_mid_run_degrades_without_panicking() {
 fn stalled_agent_is_quarantined_then_rejoins() {
     let cfg = TestbedConfig {
         duration_s: 100, // 10 ticks
-        node_timeout_ms: 300,
         ..TestbedConfig::default()
     };
     let plan = FaultPlan::none().with_agent_stall(0, 2, 2);
@@ -113,7 +111,6 @@ fn losing_every_node_still_completes() {
     let cfg = TestbedConfig {
         nodes: 3,
         duration_s: 80, // 8 ticks
-        node_timeout_ms: 300,
         ..TestbedConfig::default()
     };
     let mut plan = FaultPlan::none();
@@ -245,7 +242,6 @@ fn fault_free_paper_config_goldens() {
 fn fault_run_goldens() {
     let kill_cfg = TestbedConfig {
         duration_s: 120,
-        node_timeout_ms: 400,
         ..TestbedConfig::default()
     };
     let kill = FaultPlan::none().with_agent_kill(0, 3);
@@ -271,7 +267,6 @@ fn fault_run_goldens() {
 
     let stall_cfg = TestbedConfig {
         duration_s: 100,
-        node_timeout_ms: 300,
         ..TestbedConfig::default()
     };
     let stall = FaultPlan::none().with_agent_stall(0, 2, 2);
@@ -289,7 +284,6 @@ fn fault_run_goldens() {
     let all_cfg = TestbedConfig {
         nodes: 3,
         duration_s: 80,
-        node_timeout_ms: 300,
         ..TestbedConfig::default()
     };
     let mut all = FaultPlan::none();

@@ -1,6 +1,6 @@
-//! The GENI testbed emulation: a centralized controller and ten node
-//! agents exchanging messages over channels, comparing PageRankVM with
-//! first fit on the paper's job shapes.
+//! The GENI testbed emulation: a centralized controller calling ten
+//! in-process node agents, comparing PageRankVM with first fit on the
+//! paper's job shapes.
 //!
 //! ```sh
 //! cargo run --release --example geni_testbed

@@ -1,9 +1,12 @@
 //! The centralized controller (the paper's extra GENI instance "responsible
 //! for running the VM placement algorithms to assign the jobs").
 //!
-//! The controller keeps a mirror [`Cluster`] for placement decisions,
-//! drives virtual time in 10-second ticks, calls each [`NodeAgent`] for its
-//! status, and performs kill-and-restart migrations off overloaded nodes.
+//! The controller keeps where each job runs in one place, a mirror
+//! [`Cluster`], and what each job demands in a trace table indexed by job
+//! id. It drives virtual time in 10-second ticks, asks each [`NodeAgent`]
+//! whether its node answers, computes each answering node's demand from
+//! the mirror and the traces, and performs kill-and-restart migrations off
+//! overloaded nodes.
 //!
 //! ## Failure handling
 //!
@@ -11,24 +14,23 @@
 //! contact with a node is a typed [`ControllerError`] naming the node, the
 //! node is **quarantined** — its mirror capacity withdrawn, its jobs
 //! re-placed through the same placement algorithm — and a quarantined node
-//! that reports again is reset and readmitted. The only panics left are
-//! for genuine bugs (the mirror rejecting the algorithm's own decision, or
-//! disagreeing with an agent about which jobs it holds). On the paper path
-//! (no [`FaultPlan`]) every agent answers every tick.
+//! that reports again is readmitted empty. The only panic left is for a
+//! genuine bug: the mirror rejecting the algorithm's own decision. On the
+//! paper path (no [`FaultPlan`]) every agent answers every tick.
 
-use crate::node::{JobHandle, NodeAgent};
+use crate::node::NodeAgent;
 use crate::{TestbedConfig, TestbedOutcome};
+use pagerankvm::audit::debug_check_cluster;
 use prvm_faults::FaultPlan;
 use prvm_model::units::convert;
 use prvm_model::{
     catalog, next_migration, Cluster, EvictionPolicy, Mhz, PlacementAlgorithm, PlacementDecision,
-    PmId, ScanDemand, VmId, SLO_THRESHOLD,
+    PmId, ScanDemand, VmId, VmSpec, SLO_THRESHOLD,
 };
 use prvm_obs::event;
-use prvm_traces::{generate, TraceKind};
+use prvm_traces::{generate, Trace, TraceKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// Why the controller lost contact with a node agent. Every variant names
 /// the node, so logs and quarantine events always say *which* agent went
@@ -89,10 +91,9 @@ enum NodeState {
 struct Supervisor {
     agents: Vec<NodeAgent>,
     state: Vec<NodeState>,
+    /// Where every live job runs, with its spec and pinned cores: the
+    /// testbed's only placement record.
     mirror: Cluster,
-    /// Last-known handle of every live job, so jobs on a dead node can be
-    /// restarted elsewhere without the agent's cooperation.
-    registry: HashMap<VmId, JobHandle>,
     node_failures: usize,
     rejoined_nodes: usize,
     replaced_jobs: usize,
@@ -100,39 +101,34 @@ struct Supervisor {
 }
 
 impl Supervisor {
-    /// Apply `d` to the mirror, record `job`'s new handle and start it on
-    /// the destination agent. `Err` means that agent is dead: the job then
-    /// sits on it in the mirror until the caller drains the node.
-    fn start_on(&mut self, job: JobHandle, d: PlacementDecision) -> Result<(), ControllerError> {
+    /// Apply `d` to the mirror and start job `vm` on the destination
+    /// agent. `Err` means that agent is dead: the job then sits on it in
+    /// the mirror until the caller drains the node.
+    fn start_on(
+        &mut self,
+        vm: VmId,
+        spec: VmSpec,
+        d: PlacementDecision,
+    ) -> Result<(), ControllerError> {
         self.mirror
-            .place_as(job.id, d.pm, job.spec.clone(), d.assignment.clone())
+            .place_as(vm, d.pm, spec, d.assignment)
             .unwrap_or_else(|e| panic!("algorithm decision rejected by mirror: {e}"));
-        let handle = JobHandle {
-            assignment: d.assignment,
-            ..job
-        };
-        self.registry.insert(handle.id, handle.clone());
-        self.agents[d.pm.0].start(handle)
+        self.agents[d.pm.0].alive()
     }
 
-    /// Restart registered job `vm`, already out of the mirror, wherever
-    /// `placer` puts it (no exclusions), or count it lost when nothing
-    /// fits. `Err` names a dead destination that still has to be drained.
+    /// Restart job `vm`, already out of the mirror, wherever `placer` puts
+    /// it (no exclusions), or count it lost when nothing fits. `Err` names
+    /// a dead destination that still has to be drained.
     fn replace(
         &mut self,
         vm: VmId,
+        spec: VmSpec,
         from: usize,
         scan: usize,
         placer: &mut dyn PlacementAlgorithm,
     ) -> Result<(), ControllerError> {
-        let Some(job) = self.registry.get(&vm).cloned() else {
-            debug_assert!(false, "job {} missing from the registry", vm.0);
+        let Some(d) = placer.choose(&self.mirror, &spec, &|_| false) else {
             self.lost_jobs += 1;
-            return Ok(());
-        };
-        let Some(d) = placer.choose(&self.mirror, &job.spec, &|_| false) else {
-            self.lost_jobs += 1;
-            self.registry.remove(&vm);
             event("testbed.job_lost")
                 .field("job", vm.0)
                 .field("from", from)
@@ -141,7 +137,7 @@ impl Supervisor {
             return Ok(());
         };
         let to = d.pm.0;
-        self.start_on(job, d)?;
+        self.start_on(vm, spec, d)?;
         self.replaced_jobs += 1;
         event("testbed.job_replaced")
             .field("job", vm.0)
@@ -194,13 +190,13 @@ impl Supervisor {
             let down = self.mirror.mark_down(pm);
             debug_assert!(down.is_ok(), "node index is in range");
             for vm in victims {
-                if self.mirror.remove(vm).is_err() {
+                let Ok((_, spec, _)) = self.mirror.remove(vm) else {
                     debug_assert!(false, "resident job {} vanished", vm.0);
                     continue;
-                }
+                };
                 // A dead destination keeps the job in the mirror; draining
                 // it re-places the job again.
-                if let Err(dead) = self.replace(vm, n, scan, placer) {
+                if let Err(dead) = self.replace(vm, spec, n, scan, placer) {
                     worklist.push(dead);
                 }
             }
@@ -208,11 +204,9 @@ impl Supervisor {
     }
 
     /// A quarantined node answered the current tick: readmit it. Its jobs
-    /// were already re-placed, so the agent is reset to empty before its
-    /// capacity returns.
+    /// were already re-placed, so its capacity returns empty.
     fn rejoin(&mut self, node: usize, scan: usize) {
         debug_assert_eq!(self.state[node], NodeState::Quarantined);
-        self.agents[node].reset();
         self.state[node] = NodeState::Up;
         let up = self.mirror.mark_up(PmId(node));
         debug_assert!(up.is_ok(), "node index is in range");
@@ -222,21 +216,14 @@ impl Supervisor {
             .field("scan", scan)
             .emit();
     }
+}
 
-    /// Every job in the mirror has a registry handle pinned to the same
-    /// cores, and the registry holds nothing else.
-    fn mirror_matches_registry(&self) -> bool {
-        let mut resident = 0;
-        let pinned_alike = (0..self.state.len()).all(|node| {
-            self.mirror.pm(PmId(node)).vms().all(|(id, _, assignment)| {
-                resident += 1;
-                self.registry
-                    .get(&id)
-                    .is_some_and(|h| h.assignment == *assignment)
-            })
-        });
-        pinned_alike && resident == self.registry.len()
-    }
+/// CPU demand at scan `t` of a job with `vcpus` vCPUs and utilization
+/// `trace`, in slot units (one slot is one `Mhz`): each vCPU bursts up to a
+/// full core of `slots_per_core`, scaled by the trace.
+fn job_demand(trace: &Trace, vcpus: u32, slots_per_core: u64, t: usize) -> Mhz {
+    let per_vcpu = trace.at(t) * slots_per_core as f64;
+    Mhz((per_vcpu * f64::from(vcpus)).round() as u64)
 }
 
 /// Run the full testbed experiment: `n_jobs` jobs placed and supervised by
@@ -252,9 +239,8 @@ impl Supervisor {
 ///
 /// # Panics
 ///
-/// Panics only if the mirror cluster rejects a placement decision or an
-/// agent lacks a job the mirror places on it (bugs, not expected runtime
-/// conditions).
+/// Panics only if the mirror cluster rejects a placement decision (a bug,
+/// not an expected runtime condition).
 #[must_use]
 pub fn run_testbed(
     cfg: &TestbedConfig,
@@ -269,11 +255,10 @@ pub fn run_testbed(
 
     let mut sup = Supervisor {
         agents: (0..cfg.nodes)
-            .map(|node| NodeAgent::new(node, cfg.slots_per_core, faults.agent_fault(node)))
+            .map(|node| NodeAgent::new(node, faults.agent_fault(node)))
             .collect(),
         state: vec![NodeState::Up; cfg.nodes],
         mirror: Cluster::homogeneous(cfg.pm_spec(), cfg.nodes),
-        registry: HashMap::new(),
         node_failures: 0,
         rejoined_nodes: 0,
         replaced_jobs: 0,
@@ -281,6 +266,10 @@ pub fn run_testbed(
     };
 
     // --- Generate and place the jobs --------------------------------------
+    // Job ids are `0..placed`, minted in order by the mirror, so the trace
+    // of job `id` is `traces[id]`. A rejected job's trace is drawn (keeping
+    // the RNG stream) and dropped.
+    let mut traces: Vec<Trace> = Vec::with_capacity(n_jobs);
     let mut rejected = 0usize;
     let mut specs: Vec<_> = (0..n_jobs)
         .map(|_| {
@@ -299,14 +288,11 @@ pub fn run_testbed(
             rejected += 1;
             continue;
         };
-        let job = JobHandle {
-            id: VmId(sup.mirror.next_vm_id()),
-            spec,
-            assignment: d.assignment.clone(),
-            trace,
-        };
+        let id = VmId(sup.mirror.next_vm_id());
+        debug_assert_eq!(convert::u64_to_usize(id.0), Some(traces.len()));
+        traces.push(trace);
         // Agents die only at a tick, so none refuses a job here.
-        let started = sup.start_on(job, d);
+        let started = sup.start_on(id, spec, d);
         debug_assert!(started.is_ok(), "agent died before the first tick");
     }
     let pms_used_initial = sup.mirror.active_pm_count();
@@ -318,44 +304,43 @@ pub fn run_testbed(
     let mut slo_samples = 0usize;
     let mut active_samples = 0usize;
     // Dense per-scan state, sized once and reset every scan: demand by job
-    // id (ids are `0..n_jobs`, minted in order by the initial placement),
-    // demand, report and overload flags by node. One slot is one `Mhz`.
-    let mut job_demand = vec![Mhz::ZERO; n_jobs];
+    // id, demand, report and overload flags by node. One slot is one `Mhz`.
+    let mut vm_demand = vec![Mhz::ZERO; traces.len()];
     let mut node_demand = vec![Mhz::ZERO; cfg.nodes];
     let mut reported = vec![false; cfg.nodes];
     let mut overloaded = vec![false; cfg.nodes];
 
     for t in 0..scans {
-        // Tick every non-dead node in index order and add the demands of
-        // the `Up` ones. Quarantined nodes still get ticks so a merely
-        // stalled agent can answer and rejoin. A dead agent is drained at
-        // once, so the nodes ticked after it see its re-placed jobs.
-        job_demand.fill(Mhz::ZERO);
+        // Tick every non-dead node in index order and, at its turn, add up
+        // the demands of the jobs the mirror places on each `Up` one.
+        // Quarantined nodes still get ticks so a merely stalled agent can
+        // answer and rejoin. A dead agent is drained at once, so the nodes
+        // ticked after it see its re-placed jobs.
+        vm_demand.fill(Mhz::ZERO);
         node_demand.fill(Mhz::ZERO);
         reported.fill(false);
         for node in 0..cfg.nodes {
             if sup.state[node] == NodeState::Dead {
                 continue;
             }
-            let job_demands = match sup.agents[node].tick(t) {
-                Ok(Some(job_demands)) => job_demands,
-                Ok(None) => continue,
+            match sup.agents[node].tick(t) {
+                Ok(true) => reported[node] = true,
+                Ok(false) => continue,
                 Err(dead) => {
                     sup.quarantine(dead, t, placer);
                     continue;
                 }
-            };
-            reported[node] = true;
+            }
             if sup.state[node] != NodeState::Up {
                 continue;
             }
-            for (id, d) in job_demands {
+            for (id, spec, _) in sup.mirror.pm(PmId(node)).vms() {
+                let Some(slot) = convert::u64_to_usize(id.0) else {
+                    continue;
+                };
+                let d = job_demand(&traces[slot], spec.vcpus, cfg.slots_per_core, t);
                 node_demand[node] += d;
-                if let Some(slot) =
-                    convert::u64_to_usize(id.0).and_then(|slot| job_demand.get_mut(slot))
-                {
-                    *slot = d;
-                }
+                vm_demand[slot] = d;
             }
         }
         // Readmit (empty) every quarantined node that answered, then
@@ -403,7 +388,7 @@ pub fn run_testbed(
                     threshold: cfg.overload_threshold,
                     pm: &node_demand,
                     overloaded: &overloaded,
-                    vm: &job_demand,
+                    vm: &vm_demand,
                 };
                 // The destination is chosen BEFORE killing, so an
                 // unplaceable job is never interrupted.
@@ -411,27 +396,18 @@ pub fn run_testbed(
                 else {
                     break;
                 };
-                // Kill on the source, restart on the destination. The source
-                // answered this tick, so its agent is alive and holds the job.
-                let job = sup.agents[src]
-                    .kill(m.vm)
-                    .unwrap_or_else(|| panic!("node {src} does not hold job {}", m.vm.0));
+                // Kill on the source (`next_migration` took the job out of
+                // the mirror), restart on the destination. The destination
+                // answered this tick, and agents die only at a tick.
                 let dest = m.to.pm.0;
-                if let Err(dead) = sup.start_on(job, m.to) {
-                    // Dead destination: drain it (re-placing this job
-                    // with the rest) and stop evicting this source.
-                    sup.quarantine(dead, t, placer);
-                    break;
-                }
+                let started = sup.start_on(m.vm, m.spec, m.to);
+                debug_assert!(started.is_ok(), "node {dest} died between ticks");
                 migrations += 1;
                 node_demand[dest] += m.demand;
                 node_demand[src] = node_demand[src].saturating_sub(m.demand);
             }
         }
-        debug_assert!(
-            sup.mirror_matches_registry(),
-            "mirror and registry disagree after scan {t}"
-        );
+        debug_check_cluster(&sup.mirror, "a testbed scan");
     }
 
     TestbedOutcome {
@@ -516,6 +492,14 @@ mod tests {
     fn slo_percentage_is_bounded() {
         let o = run_ff(&quick_cfg(), 150, 5);
         assert!((0.0..=100.0).contains(&o.slo_violation_pct));
+    }
+
+    #[test]
+    fn job_demand_bursts_each_vcpu_to_a_full_core() {
+        // 2 vCPUs x 0.5 x 32 = 32; 2 x 0.25 x 32 = 16; 4 x 0.25 x 32 = 32.
+        assert_eq!(job_demand(&Trace::constant(0.5, 8), 2, 32, 0), Mhz(32));
+        assert_eq!(job_demand(&Trace::constant(0.25, 8), 2, 32, 7), Mhz(16));
+        assert_eq!(job_demand(&Trace::constant(0.25, 8), 4, 32, 3), Mhz(32));
     }
 
     #[test]

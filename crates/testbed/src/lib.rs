@@ -10,8 +10,10 @@
 //! This crate emulates that deployment in one process: the controller
 //! calls each node agent directly under a lockstep virtual clock, so the
 //! same control-plane logic runs without real machines and without wall
-//! time (DESIGN.md §4). A faulty agent answers a tick with silence or
-//! refuses calls once dead; no outcome depends on how fast anything runs.
+//! time (DESIGN.md §4). The controller keeps each job once: where it runs
+//! in a mirror cluster, what it demands in a trace table by job id. An
+//! agent holds no jobs; a faulty one answers a tick with silence or
+//! refuses calls once dead. No outcome depends on how fast anything runs.
 //!
 //! ## Capacity note
 //!
@@ -39,7 +41,7 @@ pub mod controller;
 pub mod node;
 
 pub use controller::{run_testbed, ControllerError};
-pub use node::{JobHandle, NodeAgent};
+pub use node::NodeAgent;
 pub use prvm_faults::{AgentFault, FaultPlan, StallWindow};
 
 use prvm_model::{MemMib, Mhz, PmSpec};

@@ -1,8 +1,8 @@
 //! Property tests for the testbed controller over random agent fault
 //! plans: runs are reproducible, the fault counters stay consistent, and
 //! the empty plan reports no faults. In debug builds `run_testbed` also
-//! asserts mirror ≡ registry after every scan, so every case here checks
-//! that invariant too.
+//! runs the cluster audit (`pagerankvm::audit::debug_check_cluster`) on its
+//! mirror after every scan, so every case here checks that too.
 
 use pagerankvm::{PageRankEviction, PageRankVmPlacer, ScoreBook};
 use proptest::prelude::*;

@@ -222,10 +222,9 @@ pub fn splitmix64(mut z: u64) -> u64 {
 const DOMAIN_MIGRATION: u64 = 0x4d49_4752; // "MIGR"
 const DOMAIN_TRACE: u64 = 0x5452_4143; // "TRAC"
 
-/// Point-query view over a [`FaultPlan`]: the object the sim engine and
-/// testbed controller consult each scan. Stateless — all answers are
-/// pure functions of the plan, so consulting it in any order (or twice)
-/// changes nothing.
+/// Point-query view over a [`FaultPlan`]: the object the sim engine
+/// consults each scan. Stateless — all answers are pure functions of the
+/// plan, so consulting it in any order (or twice) changes nothing.
 #[derive(Debug, Clone)]
 pub struct FaultClock<'a> {
     plan: &'a FaultPlan,
@@ -236,11 +235,6 @@ impl<'a> FaultClock<'a> {
     #[must_use]
     pub fn new(plan: &'a FaultPlan) -> Self {
         Self { plan }
-    }
-
-    /// The underlying plan.
-    pub fn plan(&self) -> &FaultPlan {
-        self.plan
     }
 
     /// A deterministic coin in `[0, 1)` for one decision.

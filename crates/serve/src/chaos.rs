@@ -299,7 +299,10 @@ pub fn run_io_chaos(
             acked_ops.len()
         )));
     }
-    let recovered = ServeState::recover(&catalog_spec, None, &clean.ops)?;
+    // A fresh book, not the shared one: its digest matching the live
+    // state's shows that the book is a pure function of the catalog.
+    let fresh_book = ServeState::build_book(&catalog_spec)?;
+    let recovered = ServeState::recover_with_book(&catalog_spec, fresh_book, None, &clean.ops)?;
     if recovered.digest() != live.digest() || recovered.book_digest() != live.book_digest() {
         return Err(ChaosError::Invariant(
             "final recovered state is not byte-identical to the live state".to_string(),

@@ -16,6 +16,7 @@
 //! strategy of PageRankVM to satisfy the anti-collocation constraints").
 
 #![warn(missing_docs)]
+#![warn(clippy::expect_used)]
 
 pub mod bestfit;
 pub mod compvm;

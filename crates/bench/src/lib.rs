@@ -8,6 +8,7 @@
 //! `--fresh` to recompute.
 
 #![warn(missing_docs)]
+#![warn(clippy::expect_used)]
 
 pub mod loadgen;
 pub mod perf;

@@ -133,6 +133,10 @@ const fn crc_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;
     while i < 256 {
+        #[expect(
+            clippy::as_conversions,
+            reason = "i < 256: the cast is exact; CRC32 table generation is mod-2^32 arithmetic"
+        )]
         let mut crc = i as u32;
         let mut bit = 0;
         while bit < 8 {
@@ -158,6 +162,10 @@ static CRC_TABLE: [u32; 256] = crc_table();
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = u32::MAX;
     for &b in bytes {
+        #[expect(
+            clippy::as_conversions,
+            reason = "low-byte extraction is the CRC32 algorithm, not an accidental truncation"
+        )]
         let idx = usize::from((crc as u8) ^ b);
         crc = (crc >> 8) ^ CRC_TABLE[idx];
     }

@@ -117,6 +117,10 @@ impl ProfileInterner {
     /// Look up canonical values without allocating.
     #[must_use]
     pub fn get(&self, values: &[u16]) -> Option<ProfileId> {
+        #[expect(
+            clippy::as_conversions,
+            reason = "hash-to-slot: masked to table size immediately; truncation is the point"
+        )]
         let mut slot = (fnv1a(values) as usize) & self.mask;
         loop {
             match self.slots[slot] {
@@ -184,6 +188,10 @@ impl ProfileInterner {
 
     fn place_slot(&mut self, id: u32) {
         let values = self.profiles[usize::try_from(id).unwrap_or(usize::MAX)].values();
+        #[expect(
+            clippy::as_conversions,
+            reason = "hash-to-slot: masked to table size immediately; truncation is the point"
+        )]
         let mut slot = (fnv1a(values) as usize) & self.mask;
         while self.slots[slot] != EMPTY {
             slot = (slot + 1) & self.mask;

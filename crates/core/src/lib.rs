@@ -61,6 +61,9 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::expect_used)]
+#![warn(clippy::missing_panics_doc)]
+#![cfg_attr(not(test), warn(clippy::as_conversions))]
 
 pub mod analysis;
 pub mod audit;

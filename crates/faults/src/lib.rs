@@ -20,6 +20,7 @@
 //!   opt-in; the paper-reproduction numbers never move.
 
 #![warn(missing_docs)]
+#![warn(clippy::expect_used)]
 
 pub mod io;
 

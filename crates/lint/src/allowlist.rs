@@ -3,7 +3,7 @@
 //! Format (pipe-separated, `#` starts a comment line):
 //!
 //! ```text
-//! L001 | crates/model/src/cluster.rs | location map and PM state agree | struct invariant …
+//! P001 | crates/model/src/cluster.rs | location map and PM state agree | struct invariant …
 //! ```
 //!
 //! Fields: rule id, file path (suffix match), a substring of the offending
@@ -19,7 +19,7 @@ use crate::rules::Finding;
 /// One parsed allowlist entry.
 #[derive(Debug)]
 pub struct Entry {
-    /// Rule id the entry applies to (`L001` … `L008`, `D…`, `P…`).
+    /// Rule id the entry applies to (`L003`, `D001`, `P001`, …).
     pub rule: String,
     /// Path suffix the finding's file must match.
     pub file: String,
@@ -126,30 +126,30 @@ mod tests {
     #[test]
     fn parses_and_matches() {
         let text =
-            "# comment\n\nL001 | crates/model/src/cluster.rs | state agree | struct invariant\n";
+            "# comment\n\nP001 | crates/model/src/cluster.rs | state agree | struct invariant\n";
         let mut entries = parse(text).unwrap();
         assert_eq!(entries.len(), 1);
         let f = finding(
-            "L001",
+            "P001",
             "crates/model/src/cluster.rs",
             ".expect(\"location map and PM state agree\")",
         );
         assert!(allows(&mut entries, &f));
         assert_eq!(entries[0].hits, 1);
-        let other = finding("L002", "crates/model/src/cluster.rs", "state agree");
+        let other = finding("L003", "crates/model/src/cluster.rs", "state agree");
         assert!(!allows(&mut entries, &other));
     }
 
     #[test]
     fn rejects_malformed_lines() {
-        assert!(parse("L001 | file | substring\n").is_err());
-        assert!(parse("L001 | file | substring | \n").is_err());
+        assert!(parse("P001 | file | substring\n").is_err());
+        assert!(parse("P001 | file | substring | \n").is_err());
     }
 
     #[test]
     fn used_entries_are_not_stale() {
-        let mut entries = parse("L004 | graph.rs | nodes[ix(id)] | audited\n").unwrap();
-        let f = finding("L004", "crates/core/src/graph.rs", "&self.nodes[ix(id)]");
+        let mut entries = parse("P001 | graph.rs | nodes[ix(id)] | audited\n").unwrap();
+        let f = finding("P001", "crates/core/src/graph.rs", "&self.nodes[ix(id)]");
         assert!(allows(&mut entries, &f));
         assert!(stale(&entries).is_empty());
     }
@@ -157,11 +157,11 @@ mod tests {
     #[test]
     fn unused_entries_are_stale() {
         let mut entries = parse(
-            "L004 | graph.rs | nodes[ix(id)] | audited\n\
-             L004 | graph.rs | long_gone_line | removed in a refactor\n",
+            "P001 | graph.rs | nodes[ix(id)] | audited\n\
+             P001 | graph.rs | long_gone_line | removed in a refactor\n",
         )
         .unwrap();
-        let f = finding("L004", "crates/core/src/graph.rs", "&self.nodes[ix(id)]");
+        let f = finding("P001", "crates/core/src/graph.rs", "&self.nodes[ix(id)]");
         assert!(allows(&mut entries, &f));
         let dead = stale(&entries);
         assert_eq!(dead.len(), 1);
@@ -172,8 +172,8 @@ mod tests {
     #[test]
     fn duplicate_entries_are_a_parse_error() {
         let err = parse(
-            "L004 | graph.rs | nodes[ix(id)] | audited\n\
-             L004 | graph.rs | nodes[ix(id)] | audited again\n",
+            "P001 | graph.rs | nodes[ix(id)] | audited\n\
+             P001 | graph.rs | nodes[ix(id)] | audited again\n",
         )
         .unwrap_err();
         assert!(err.contains("duplicate"), "got: {err}");
@@ -183,7 +183,7 @@ mod tests {
     #[test]
     fn same_substring_for_different_rules_is_not_duplicate() {
         let entries = parse(
-            "L004 | graph.rs | nodes[ix(id)] | audited indexing\n\
+            "D001 | graph.rs | nodes[ix(id)] | audited iteration\n\
              P001 | graph.rs | nodes[ix(id)] | audited panic surface\n",
         )
         .unwrap();

@@ -182,7 +182,7 @@ mod tests {
     use crate::scan::SourceFile;
 
     fn graph_of(src: &str) -> (Items, CallGraph) {
-        let file = SourceFile::scan("crates/x/src/lib.rs".into(), "x".into(), false, src);
+        let file = SourceFile::scan("crates/x/src/lib.rs".into(), "x".into(), src);
         let items = items::extract(&[file]);
         let graph = CallGraph::build(&items);
         (items, graph)

@@ -7,7 +7,7 @@
 //! [rule.D001]                      # opens a rule's config section
 //! roots = pagerank, Placer::choose # comma-separated value list
 //!
-//! L004 | crates/core/src/graph.rs | &self.nodes[ix(id)] | reason…
+//! P001 | crates/core/src/graph.rs | &self.nodes[ix(id)] | reason…
 //! ```
 //!
 //! Pipe lines are allowlist entries wherever they appear; `key = v, v`
@@ -118,7 +118,7 @@ crates = core
 [rule.D002]
 exempt_crates = obs, bench
 
-L004 | crates/core/src/graph.rs | nodes[ix(id)] | audited accessor
+P001 | crates/core/src/graph.rs | nodes[ix(id)] | audited accessor
 ";
         let (cfg, entries) = parse(text).unwrap();
         assert_eq!(
@@ -128,7 +128,7 @@ L004 | crates/core/src/graph.rs | nodes[ix(id)] | audited accessor
         assert!(cfg.contains("D002", "exempt_crates", "obs"));
         assert!(!cfg.contains("D002", "exempt_crates", "core"));
         assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].rule, "L004");
+        assert_eq!(entries[0].rule, "P001");
     }
 
     #[test]
@@ -136,7 +136,7 @@ L004 | crates/core/src/graph.rs | nodes[ix(id)] | audited accessor
         assert!(parse("[wrong-section]\n").is_err());
         assert!(parse("key = value\n").is_err()); // outside a section
         assert!(parse("free text\n").is_err());
-        assert!(parse("L001 | a | b\n").is_err()); // 3 fields
+        assert!(parse("P001 | a | b\n").is_err()); // 3 fields
     }
 
     #[test]

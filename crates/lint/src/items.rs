@@ -38,8 +38,9 @@ pub struct FnItem {
     pub is_pub: bool,
     /// Exactly `pub`: part of the crate's public API.
     pub bare_pub: bool,
-    /// Its doc comments contain a `# Panics` section.
-    pub documents_panics: bool,
+    /// Inside an `impl Trait for Type` block: callable through the trait
+    /// wherever the type is, though it carries no `pub`.
+    pub trait_impl: bool,
     /// Under `#[cfg(test)]` or carrying `#[test]`.
     pub in_test: bool,
     /// Flattened body tokens (group delimiters materialised).
@@ -94,6 +95,7 @@ pub fn extract(files: &[SourceFile]) -> Items {
             krate: &file.krate,
             rel: &file.rel,
             self_type: None,
+            trait_impl: false,
             in_test: false,
         };
         let mut tests = Vec::new();
@@ -114,13 +116,15 @@ struct Ctx<'a> {
     rel: &'a str,
     /// The surrounding `impl`/`trait` self type.
     self_type: Option<&'a str>,
+    /// Inside an `impl Trait for Type` block.
+    trait_impl: bool,
     /// Inside a test-gated item.
     in_test: bool,
 }
 
 impl<'a> Ctx<'a> {
     /// The context inside the body of the item `head` introduces.
-    fn inside<'b>(&self, self_type: Option<&'b str>, head: &Header) -> Ctx<'b>
+    fn inside<'b>(&self, self_type: Option<&'b str>, trait_impl: bool, head: &Header) -> Ctx<'b>
     where
         'a: 'b,
     {
@@ -128,6 +132,7 @@ impl<'a> Ctx<'a> {
             krate: self.krate,
             rel: self.rel,
             self_type,
+            trait_impl,
             in_test: head.in_test,
         }
     }
@@ -139,7 +144,6 @@ struct Header {
     in_test: bool,
     is_pub: bool,
     bare_pub: bool,
-    documents_panics: bool,
     must_use: bool,
 }
 
@@ -169,15 +173,11 @@ fn header(trees: &[Tree], i: &mut usize, in_test: bool) -> Option<Header> {
         in_test,
         is_pub: false,
         bare_pub: false,
-        documents_panics: false,
         must_use: false,
     };
     loop {
         match trees.get(*i) {
-            Some(Tree::Leaf(t)) if t.kind.is_doc() => {
-                head.documents_panics |= t.text.contains("# Panics");
-                *i += 1;
-            }
+            Some(Tree::Leaf(t)) if t.kind.is_doc() => *i += 1,
             Some(Tree::Leaf(t)) if t.is_punct('#') => {
                 let j = *i + 1 + usize::from(is_punct(trees.get(*i + 1), '!'));
                 let Some(Tree::Group {
@@ -254,7 +254,7 @@ fn parse_item(
                 ..
             }) = trees.get(j)
             {
-                walk(children, &ctx.inside(None, head), items, tests);
+                walk(children, &ctx.inside(None, false, head), items, tests);
                 j += 1;
             } else if is_punct(trees.get(j), ';') {
                 j += 1;
@@ -262,14 +262,15 @@ fn parse_item(
             j
         }
         Some("impl") => {
-            let (ty, body_at) = impl_self_type(trees, i + 1);
+            let (ty, of_trait, body_at) = impl_self_type(trees, i + 1);
             if let Some(Tree::Group {
                 open: '{',
                 children,
                 ..
             }) = trees.get(body_at)
             {
-                walk(children, &ctx.inside(ty.as_deref(), head), items, tests);
+                let inner = ctx.inside(ty.as_deref(), of_trait, head);
+                walk(children, &inner, items, tests);
                 body_at + 1
             } else {
                 body_at
@@ -282,7 +283,7 @@ fn parse_item(
                 j += 1;
             }
             if let Some(Tree::Group { children, .. }) = trees.get(j) {
-                walk(children, &ctx.inside(Some(name), head), items, tests);
+                walk(children, &ctx.inside(Some(name), false, head), items, tests);
             }
             j + 1
         }
@@ -372,7 +373,7 @@ fn parse_fn(trees: &[Tree], i: usize, ctx: &Ctx, head: &Header, items: &mut Item
         line: trees[i].line(),
         is_pub: head.is_pub,
         bare_pub: head.bare_pub,
-        documents_panics: head.documents_panics,
+        trait_impl: ctx.trait_impl,
         in_test: head.in_test,
         body,
         types,
@@ -434,8 +435,9 @@ fn parse_type(
 
 /// Self type of an `impl` header starting just past the `impl` keyword:
 /// `impl Foo`, `impl<T> Foo<T>`, `impl Trait for Foo`. Returns the type
-/// name and the index of the body group.
-fn impl_self_type(trees: &[Tree], mut i: usize) -> (Option<String>, usize) {
+/// name, whether the block implements a trait, and the index of the
+/// body group.
+fn impl_self_type(trees: &[Tree], mut i: usize) -> (Option<String>, bool, usize) {
     let mut angle = 0i32;
     let mut after_for: Option<String> = None;
     let mut first: Option<String> = None;
@@ -467,7 +469,8 @@ fn impl_self_type(trees: &[Tree], mut i: usize) -> (Option<String>, usize) {
         }
         i += 1;
     }
-    (after_for.or(first), i)
+    let of_trait = after_for.is_some();
+    (after_for.or(first), of_trait, i)
 }
 
 /// Record `name → type text` for each parameter in a fn's `(…)` group.
@@ -628,7 +631,7 @@ mod tests {
     use crate::scan::SourceFile;
 
     fn extract_src(src: &str) -> Items {
-        let file = SourceFile::scan("crates/x/src/lib.rs".into(), "x".into(), false, src);
+        let file = SourceFile::scan("crates/x/src/lib.rs".into(), "x".into(), src);
         extract(&[file])
     }
 
@@ -643,6 +646,8 @@ mod tests {
         let quals: Vec<&str> = items.fns.iter().map(|f| f.qual.as_str()).collect();
         assert_eq!(quals, vec!["top", "Foo::get", "Foo::fmt"]);
         assert!(items.fns[0].is_pub);
+        let trait_impl: Vec<bool> = items.fns.iter().map(|f| f.trait_impl).collect();
+        assert_eq!(trait_impl, [false, false, true]);
         assert_eq!(
             items.fns[0].types.get("n").map(String::as_str),
             Some("usize")

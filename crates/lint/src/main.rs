@@ -3,9 +3,11 @@
 //!
 //! One engine (see DESIGN.md §8 and §12): a lossless lexer (`lex.rs`),
 //! token trees (`tokens.rs`), item extraction (`items.rs`) and a
-//! same-crate call graph (`callgraph.rs`). Every rule — L001–L008,
-//! D001–D005 and P001 — is one entry of the `RULES` table in
-//! `rules.rs`, scoped by constants there and by `lint.toml`.
+//! same-crate call graph (`callgraph.rs`). Every rule — L003, L007,
+//! L008, D001–D005 and P001 — is one entry of the `RULES` table in
+//! `rules.rs`, scoped by constants there and by `lint.toml`. Checks a
+//! clippy lint makes (unwrap/expect, `as` casts, `# Panics` docs) are
+//! left to clippy.
 //!
 //! ```text
 //! cargo run -p prvm-lint                     # lint the workspace
@@ -300,7 +302,6 @@ fn collect_sources(root: &Path) -> Result<Vec<SourceFile>, String> {
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_default();
-        let crate_is_lib = src.join("lib.rs").is_file();
         let mut stack = vec![src.clone()];
         while let Some(dir) = stack.pop() {
             for path in read_dir_sorted(&dir)? {
@@ -318,11 +319,9 @@ fn collect_sources(root: &Path) -> Result<Vec<SourceFile>, String> {
                     .map(|c| c.as_os_str().to_string_lossy())
                     .collect::<Vec<_>>()
                     .join("/");
-                let is_bin =
-                    !crate_is_lib || rel.ends_with("/src/main.rs") || rel.contains("/src/bin/");
                 let text = std::fs::read_to_string(&path)
                     .map_err(|e| format!("{}: {e}", path.display()))?;
-                out.push(SourceFile::scan(rel, crate_name.clone(), is_bin, &text));
+                out.push(SourceFile::scan(rel, crate_name.clone(), &text));
             }
         }
     }
@@ -345,15 +344,53 @@ mod tests {
 
     #[test]
     fn rule_table_lists_all_rules() {
-        for rule in [
-            "L001", "L002", "L003", "L004", "L005", "L006", "L007", "L008", "D001", "D002", "D003",
-            "D004", "D005", "P001",
-        ] {
-            assert!(
-                rules::RULES.iter().any(|r| r.id == rule),
-                "{rule} missing from the rule table"
-            );
+        let ids: Vec<&str> = rules::RULES.iter().map(|r| r.id).collect();
+        assert_eq!(
+            ids,
+            ["L003", "L007", "L008", "D001", "D002", "D003", "D004", "D005", "P001"]
+        );
+    }
+
+    #[test]
+    fn clippy_keeps_the_checks_it_took_over() {
+        // unwrap/expect in library code, `as` casts in core/model and
+        // `# Panics` docs on core's API are clippy's to check (DESIGN.md
+        // §8); this fails when one of those settings goes missing.
+        let root = find_workspace_root().expect("workspace root");
+        let as_conversions = "#![cfg_attr(not(test), warn(clippy::as_conversions))]";
+        let mut wanted = vec![
+            ("Cargo.toml".to_string(), "unwrap_used = \"warn\""),
+            ("clippy.toml".to_string(), "allow-expect-in-tests = true"),
+            ("crates/core/src/lib.rs".to_string(), as_conversions),
+            ("crates/model/src/lib.rs".to_string(), as_conversions),
+            (
+                "crates/core/src/lib.rs".to_string(),
+                "#![warn(clippy::missing_panics_doc)]",
+            ),
+        ];
+        for krate in read_dir_sorted(&root.join("crates")).expect("crates/") {
+            if krate.join("src/lib.rs").is_file() {
+                let name = krate.file_name().expect("crate dir").to_string_lossy();
+                wanted.push((
+                    format!("crates/{name}/src/lib.rs"),
+                    "#![warn(clippy::expect_used)]",
+                ));
+            }
         }
+        assert!(wanted.len() > 5, "no crates/*/src/lib.rs found");
+        let missing: Vec<String> = wanted
+            .iter()
+            .filter(|(rel, line)| {
+                let text = std::fs::read_to_string(root.join(rel)).expect(rel);
+                !text.lines().any(|l| l.trim() == *line)
+            })
+            .map(|(rel, line)| format!("{rel}: {line}"))
+            .collect();
+        assert!(
+            missing.is_empty(),
+            "clippy settings missing:\n{}",
+            missing.join("\n")
+        );
     }
 
     #[test]

@@ -10,9 +10,6 @@ pub struct SourceFile {
     pub rel: String,
     /// Crate directory name under `crates/` (e.g. `core`, `sim`).
     pub krate: String,
-    /// True for binary targets (`src/main.rs`, `src/bin/*`, or any file of
-    /// a crate without `src/lib.rs`).
-    pub is_bin: bool,
     /// The lossless token stream; token trees and items are built from it.
     pub tokens: Vec<Token>,
     /// Raw source lines, 0-indexed (line numbers in findings are 1-based).
@@ -21,11 +18,10 @@ pub struct SourceFile {
 
 impl SourceFile {
     /// Lex `text` and keep its raw lines for excerpts.
-    pub fn scan(rel: String, krate: String, is_bin: bool, text: &str) -> Self {
+    pub fn scan(rel: String, krate: String, text: &str) -> Self {
         SourceFile {
             rel,
             krate,
-            is_bin,
             tokens: lex::lex(text),
             lines: text.split('\n').map(str::to_string).collect(),
         }

@@ -1,7 +1,7 @@
 //! `--self-test`: prove the engine still catches seeded violations.
 //!
 //! Writes a synthetic workspace into a temp directory with exactly one
-//! deliberate violation per rule (L001–L008, D001–D005, P001), runs the
+//! deliberate violation per rule (L003, L007, L008, D001–D005, P001), runs the
 //! full lint pipeline on it with an empty allowlist, and fails unless
 //! *every* rule in the `RULES` table fires — a rule added without a
 //! seeded violation fails the self-test. This is the acceptance check
@@ -40,20 +40,16 @@ root_crates = core, sim
 types = ScoreBook
 ";
 
-/// Hot-path file seeding L001/L002/L004/L005/L007 and D001/D003/P001.
+/// Hot-path file seeding L007, D001 and D003.
 const CORE_PAGERANK: &str = r#"//! Seeded violations: every line here is a deliberate lint target.
 use std::collections::HashMap;
 
-/// Undocumented panic paths; deliberately lacks the panic doc section.
-pub fn pagerank(map: &HashMap<u64, f64>, xs: &[f64], v: &[u64], i: usize) -> f64 {
+pub fn pagerank(map: &HashMap<u64, f64>, xs: &[f64]) -> f64 {
     let mut acc = 0.0;
     for (_k, val) in map.iter() {
         acc += val;
     }
     let partial: f64 = xs.iter().sum::<f64>();
-    let picked = v[i];
-    let opt: Option<u64> = v.first().copied();
-    let forced = opt.unwrap();
     let a = acc + partial;
     let b = a * 2.0;
     let c = b - 1.0;
@@ -62,15 +58,32 @@ pub fn pagerank(map: &HashMap<u64, f64>, xs: &[f64], v: &[u64], i: usize) -> f64
     let f = e + 0.5;
     let g = f * f;
     let h = g.sqrt();
-    h + picked as f64 + forced as f64
+    h + 1.0
 }
 "#;
 
+/// Seeds L008 and P001. P001's only seed is an index in a private helper
+/// that only a trait-impl method calls, so it fires only while such
+/// methods count as API roots.
 const CORE_LIB: &str = "\
 pub mod pagerank;
 
 pub struct ScoreBook {
     pub scores: Vec<f64>,
+}
+
+pub trait Placer {
+    fn choose(&self, v: &[u64], i: usize) -> u64;
+}
+
+impl Placer for ScoreBook {
+    fn choose(&self, v: &[u64], i: usize) -> u64 {
+        pick(v, i)
+    }
+}
+
+fn pick(v: &[u64], i: usize) -> u64 {
+    v[i]
 }
 ";
 
@@ -86,15 +99,6 @@ pub fn simulate(pool: &Pool, m: Mhz) -> f64 {
 
 pub fn handle(pool: &Pool) {
     pool.spawn(drop);
-}
-";
-
-/// Testbed crate seeding L006.
-const TESTBED_LIB: &str = "\
-use crossbeam::channel::Receiver;
-
-pub fn pump(rx: &Receiver<u32>) {
-    let _ = rx.recv();
 }
 ";
 
@@ -126,7 +130,6 @@ fn seeded_run(root: &Path) -> Result<Vec<String>, String> {
     write(root, "crates/core/src/lib.rs", CORE_LIB)?;
     write(root, "crates/core/src/pagerank.rs", CORE_PAGERANK)?;
     write(root, "crates/sim/src/lib.rs", SIM_LIB)?;
-    write(root, "crates/testbed/src/lib.rs", TESTBED_LIB)?;
     let report = crate::run_lint(root, &root.join("lint.toml"))?;
     let mut fired: Vec<String> = report.findings.iter().map(|f| f.rule.to_string()).collect();
     fired.sort();

@@ -3,8 +3,8 @@
 //! Whitespace and plain comments are dropped here — the tree is the
 //! *code* view that `items.rs` and the rules walk. Doc comments stay as
 //! leaves: to rustc they are `#[doc = …]` attributes, and `items.rs`
-//! reads them as such (the `# Panics` section L005 asks for). Flattened
-//! bodies leave them out again.
+//! steps over them with the rest of an item's header. Flattened bodies
+//! leave them out again.
 //!
 //! Angle brackets are **not** delimiters (matching rustc's own token
 //! trees): `Vec<f64>` appears as `Vec` `<` `f64` `>` leaves, and

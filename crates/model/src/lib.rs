@@ -41,6 +41,8 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::expect_used)]
+#![cfg_attr(not(test), warn(clippy::as_conversions))]
 
 pub mod affinity;
 pub mod assignment;

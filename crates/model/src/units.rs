@@ -5,6 +5,11 @@
 //! model stores CPU as **MHz**, memory as **MiB** and disk as whole **GB**.
 //! Newtypes keep the three axes from being mixed up (C-NEWTYPE).
 
+// The sanctioned conversion layer: the casts the rest of `model` and
+// `core` may not write live here, each next to the bound that makes it
+// exact.
+#![allow(clippy::as_conversions)]
+
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
@@ -181,8 +186,9 @@ impl MemMib {
 /// Lossless (or explicitly saturating) integer conversions.
 ///
 /// This module and the unit newtypes above are the workspace's *sanctioned
-/// conversion layer*: the `prvm-lint` rules L002/L003 forbid raw `as`
-/// numeric casts elsewhere in `core`/`model`, so every widening or
+/// conversion layer*: `clippy::as_conversions` forbids raw `as` casts
+/// elsewhere in `core`/`model` (and `prvm-lint`'s L003 raw `f64`
+/// resource arithmetic in `core`/`sim`), so every widening or
 /// saturating conversion is concentrated here where its (non-)lossiness is
 /// documented and tested.
 pub mod convert {

@@ -32,6 +32,8 @@
 //!  "span":"place/pagerank","fields":{"run":1,"iter":3,"residual":1e-4}}
 //! ```
 
+#![warn(clippy::expect_used)]
+
 #[cfg(feature = "prof-alloc")]
 pub mod alloc;
 pub mod event;

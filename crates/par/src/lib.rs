@@ -49,6 +49,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::expect_used)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -22,6 +22,7 @@
 //! matrix; the `pagerankvm chaos --target serve` subcommand drives it.
 
 #![warn(missing_docs)]
+#![warn(clippy::expect_used)]
 
 pub mod chaos;
 pub mod client;

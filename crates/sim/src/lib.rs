@@ -35,6 +35,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::expect_used)]
 
 pub mod config;
 pub mod energy;

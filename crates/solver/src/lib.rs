@@ -21,6 +21,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::expect_used)]
 
 use prvm_model::{first_fit, Assignment, Cluster, PlacementDecision, PmId, PmSpec, VmSpec};
 use std::time::{Duration, Instant};

@@ -36,6 +36,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::expect_used)]
 
 pub mod controller;
 pub mod node;

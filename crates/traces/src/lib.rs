@@ -24,6 +24,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::expect_used)]
 
 pub mod gen;
 pub mod stats;

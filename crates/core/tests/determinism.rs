@@ -414,3 +414,50 @@ fn cold_and_extended_graph_digests_are_pinned() {
         assert_eq!(got, want, "{threads} threads");
     }
 }
+
+/// The default-resolution EC2 book the benchmark builds — an 82k-node
+/// M3 graph — pinned the same way: the cold full-catalog book and the
+/// base book (every type but `c3.xlarge`) extended by `c3.xlarge`, a
+/// structural delta that mints tens of thousands of nodes. The other
+/// pins run at coarse or paper resolution only.
+#[test]
+fn default_book_digests_are_pinned() {
+    let limits = GraphLimits::default();
+    let config = PageRankConfig::default();
+    let pms = catalog::ec2_pm_types();
+    let mut base_vms = catalog::ec2_vm_types();
+    let delta = vec![base_vms.pop().expect("non-empty catalog")];
+    assert_eq!(delta[0].name, "c3.xlarge");
+
+    let mut got: Vec<(String, u64)> = Vec::new();
+    let book = ScoreBook::build(
+        Quantizer::default(),
+        &pms,
+        &catalog::ec2_vm_types(),
+        &config,
+        limits,
+    )
+    .expect("default book");
+    for (pm, table) in book.tables() {
+        got.push((format!("default book {}", pm.name), table_digest(table)));
+    }
+    let base = ScoreBook::build(Quantizer::default(), &pms, &base_vms, &config, limits)
+        .expect("default base book");
+    let extended = base.extend(&delta, &config, limits).expect("extend");
+    for (pm, table) in extended.tables() {
+        got.push((
+            format!("default book extend {}", pm.name),
+            table_digest(table),
+        ));
+    }
+
+    // Only a deliberate change to graph or score bits may update these.
+    let want = [
+        ("default book M3", 0x152c2680ac38bb9c),
+        ("default book C3", 0x69777ef2b3de7ab5),
+        ("default book extend M3", 0x176b264efe944788),
+        ("default book extend C3", 0xea62be54e89549c1),
+    ];
+    let got: Vec<(&str, u64)> = got.iter().map(|(n, d)| (n.as_str(), *d)).collect();
+    assert_eq!(got, want);
+}

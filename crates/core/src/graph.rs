@@ -27,10 +27,11 @@
 //! depend on the base graph's mode: node 0, the empty profile, for a
 //! reachable graph; every node, in id order, for a full-space graph.
 //! Expansions the base graph already holds are answered from its
-//! expansion cache; everything else runs `place`.
+//! expansion cache; everything else is read from the replay's
+//! `MoveTable`, which computes each distinct per-kind placement once.
 //!
 //! - [`ProfileGraph::build`] replays its catalog over a 1-node root with
-//!   no VM types, so every expansion runs `place`;
+//!   no VM types, so every expansion is read from the move table;
 //! - [`ProfileGraph::build_full`] does the same over a root holding every
 //!   canonical profile, so no node is ever minted;
 //! - [`ProfileGraph::extend`] replays the merged catalog over `self`,
@@ -39,12 +40,13 @@
 //!   merged catalog.
 
 use crate::intern::{ProfileId, ProfileInterner};
-use crate::profile::{Profile, ProfileSpace, ProfileVm};
+use crate::profile::{MoveTable, Profile, ProfileSpace, ProfileVm};
 use prvm_model::units::convert;
 use prvm_obs::Span;
 use prvm_par::Pool;
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 /// Node handle inside a [`ProfileGraph`].
 pub type NodeId = u32;
@@ -156,8 +158,12 @@ struct Expansion {
 struct Replayed {
     graph: ProfileGraph,
     dedup_hits: u64,
+    /// `(node, VM)` groups replayed from the base's expansion cache.
     cached_groups: u64,
-    place_calls: u64,
+    /// `(node, VM)` groups computed from the move table.
+    computed_groups: u64,
+    /// Distinct per-kind placements (`place_multiset` calls).
+    kind_moves: u64,
 }
 
 /// The profile graph for one PM type and one VM-type set.
@@ -204,8 +210,8 @@ impl ProfileGraph {
     /// [`Pool`], sized by [`prvm_par::set_global_threads`].
     ///
     /// The BFS is level-synchronous: each frontier's successor profiles
-    /// are enumerated in parallel (the `place` combinatorics dominate
-    /// the cost), then merged **sequentially in frontier order**, which
+    /// are enumerated in parallel (as products of memoised per-kind
+    /// placements), then merged **sequentially in frontier order**, which
     /// mints node ids in exactly the order the single-threaded queue
     /// BFS would — so the resulting graph (node numbering, CSR layout,
     /// everything) is bit-for-bit identical at any worker count
@@ -276,6 +282,7 @@ impl ProfileGraph {
             .field("nodes", graph.node_count())
             .field("edges", graph.edge_count())
             .field("dedup_hits", run.dedup_hits)
+            .field("kind_moves", run.kind_moves)
             .field("vm_types", graph.vm_types.len())
             .emit();
         Ok(graph)
@@ -311,9 +318,9 @@ impl ProfileGraph {
     ///
     /// The BFS is *replayed* over the merged catalog, but for `(node,
     /// VM type)` pairs already present in this graph the expansion
-    /// cache answers instead of `place` — only profiles first reached
-    /// through a delta edge, plus every node's delta-VM expansions, pay
-    /// the enumeration combinatorics. Ids are minted in replay
+    /// cache answers — only profiles first reached through a delta
+    /// edge, plus every node's delta-VM expansions, are enumerated
+    /// afresh. Ids are minted in replay
     /// (= from-scratch) discovery order, so the result is bit-for-bit
     /// identical to a fresh build (of the same mode) over
     /// `self.vm_types() ++ delta`, at any worker count.
@@ -359,7 +366,7 @@ impl ProfileGraph {
         let run = self.replay(usable_delta, limits, &Pool::global())?;
         let graph = run.graph;
         prvm_obs::counter!("graph.extend.cached_groups", run.cached_groups);
-        prvm_obs::counter!("graph.extend.place_calls", run.place_calls);
+        prvm_obs::counter!("graph.extend.computed_groups", run.computed_groups);
         prvm_obs::event("graph.extended")
             .field("nodes", graph.node_count())
             .field(
@@ -369,7 +376,8 @@ impl ProfileGraph {
             .field("edges", graph.edge_count())
             .field("dedup_hits", run.dedup_hits)
             .field("cached_groups", run.cached_groups)
-            .field("place_calls", run.place_calls)
+            .field("computed_groups", run.computed_groups)
+            .field("kind_moves", run.kind_moves)
             .field("vm_types", graph.vm_types.len())
             .emit();
         Ok(graph)
@@ -379,11 +387,12 @@ impl ProfileGraph {
     /// `self.vm_types() ++ delta`, seeded with this graph's starting
     /// nodes under their own ids (node 0 for [`BuildMode::Reachable`],
     /// every node for [`BuildMode::Full`]). Old `(node, VM)` expansions
-    /// are replayed from the expansion cache; the rest run `place` on
-    /// the pool. Ids are minted in first-discovery order, so a replay
-    /// over a root with no VM types is a cold build, and a replay over
-    /// any graph equals the cold build of the merged catalog. Counts
-    /// `graph.{nodes,edges,dedup_hits}`; the caller emits its event.
+    /// are replayed from the expansion cache; the rest are read from a
+    /// `MoveTable` on the pool. Ids are minted in first-discovery
+    /// order, so a replay over a root with no VM types is a cold build,
+    /// and a replay over any graph equals the cold build of the merged
+    /// catalog. Counts `graph.{nodes,edges,dedup_hits,kind_moves}`; the
+    /// caller emits its event.
     fn replay(
         &self,
         delta: Vec<ProfileVm>,
@@ -394,6 +403,10 @@ impl ProfileGraph {
         let dims = space.dims();
         let old_v = self.vm_types.len();
         let merged: Vec<ProfileVm> = self.vm_types.iter().cloned().chain(delta).collect();
+        // Every node is added to the move table as it is minted, so a
+        // frontier's per-kind placements are all in it before the
+        // frontier is expanded.
+        let mut moves = MoveTable::new(&space, &merged);
 
         let seeds = match self.mode {
             BuildMode::Reachable => 1,
@@ -407,6 +420,7 @@ impl ProfileGraph {
         old2new.resize(self.node_count(), UNMAPPED);
         let mut interner = ProfileInterner::with_capacity(self.node_count());
         for &id in &new2old {
+            moves.add_node(self.profile(id).values());
             interner.intern(self.profile(id).clone());
         }
 
@@ -416,7 +430,7 @@ impl ProfileGraph {
         let mut goff: Vec<usize> = vec![0];
         let mut buf: Vec<NodeId> = Vec::new();
         let mut dedup_hits = 0u64;
-        let mut place_calls = 0u64;
+        let mut computed_groups = 0u64;
         let mut cached_groups = 0u64;
         // While the old→new mapping has stayed the identity (the common
         // case: the delta's outcomes land on profiles the base graph
@@ -433,26 +447,24 @@ impl ProfileGraph {
         let mut level_start = 0usize;
         while level_start < interner.len() {
             // Expand the whole frontier in parallel; its chunks land on
-            // worker lanes when tracing. Workers evaluate `place` only
-            // where the cache cannot answer: delta VMs everywhere, plus
-            // every VM on nodes this graph has never seen.
+            // worker lanes when tracing. Workers read the move table only
+            // where the expansion cache cannot answer: delta VMs
+            // everywhere, plus every VM on nodes this graph has never
+            // seen.
             let expansions: Vec<Expansion> = {
                 let _expand = Span::enter("expand");
-                let jobs: Vec<(&Profile, bool)> = (level_start..interner.len())
-                    .map(|j| (interner.resolve(ProfileId(nid(j))), new2old[j] != UNMAPPED))
+                let jobs: Vec<(usize, bool)> = (level_start..interner.len())
+                    .map(|j| (j, new2old[j] != UNMAPPED))
                     .collect();
-                pool.map(&jobs, |&(node, is_old)| {
-                    let computed = if is_old {
-                        &merged[old_v..]
-                    } else {
-                        &merged[..]
-                    };
-                    expand_node(&space, node, computed, dims)
+                pool.map(&jobs, |&(j, is_old)| {
+                    let computed = if is_old { old_v } else { 0 }..merged.len();
+                    expand_node(&moves, j, computed, dims)
                 })
             };
             let frontier_start = level_start;
             level_start = interner.len();
-            // The sequential id-minting merge. The expand/stitch split
+            // The sequential id-minting merge, which also adds each
+            // minted node to the move table. The expand/stitch split
             // is what makes the speedup story diagnosable in a trace
             // (parallel compute vs serial merge).
             let stitch_span = Span::enter("stitch");
@@ -488,6 +500,7 @@ impl ProfileGraph {
                                 while interner.len() <= ix(max) {
                                     check_room(&interner, limits)?;
                                     let next = nid(interner.len());
+                                    moves.add_node(self.profile(next).values());
                                     let (pid, fresh) = interner.intern(self.profile(next).clone());
                                     debug_assert!(
                                         fresh && pid.node() == next,
@@ -508,6 +521,7 @@ impl ProfileGraph {
                                 old2new[ix(old_s)]
                             } else {
                                 check_room(&interner, limits)?;
+                                moves.add_node(self.profile(old_s).values());
                                 let (pid, fresh) = interner.intern(self.profile(old_s).clone());
                                 debug_assert!(fresh, "old profile interned without a mapping");
                                 old2new[ix(old_s)] = pid.node();
@@ -518,7 +532,7 @@ impl ProfileGraph {
                             buf.push(id);
                         }
                     } else {
-                        place_calls += 1;
+                        computed_groups += 1;
                         let count = exp.counts[ci];
                         ci += 1;
                         for _ in 0..count {
@@ -531,6 +545,7 @@ impl ProfileGraph {
                                 }
                                 None => {
                                     check_room(&interner, limits)?;
+                                    moves.add_node(vals);
                                     let (pid, _) = interner.intern_values(vals);
                                     // A delta edge can be the first road
                                     // into a profile this graph already
@@ -574,6 +589,8 @@ impl ProfileGraph {
         prvm_obs::counter!("graph.nodes", convert::usize_to_u64(interner.len()));
         prvm_obs::counter!("graph.edges", convert::usize_to_u64(succ.len()));
         prvm_obs::counter!("graph.dedup_hits", dedup_hits);
+        let kind_moves = moves.kind_moves();
+        prvm_obs::counter!("graph.kind_moves", kind_moves);
         Ok(Replayed {
             graph: Self {
                 space,
@@ -588,7 +605,8 @@ impl ProfileGraph {
             },
             dedup_hits,
             cached_groups,
-            place_calls,
+            computed_groups,
+            kind_moves,
         })
     }
 
@@ -728,16 +746,16 @@ impl ProfileGraph {
     }
 }
 
-/// Evaluate `place` for `node` against each VM in `vms`, flattening the
-/// outcome values (each `dims` wide) with per-VM counts. Pure: runs on
-/// workers; outcome order is `place`'s enumeration order.
-fn expand_node(space: &ProfileSpace, node: &Profile, vms: &[ProfileVm], dims: usize) -> Expansion {
+/// Read the outcomes of each VM index in `vms` on node `node` from the
+/// move table, flattening the values (each `dims` wide) with per-VM
+/// counts. Runs on workers; outcome order is `place`'s enumeration
+/// order.
+fn expand_node(moves: &MoveTable<'_>, node: usize, vms: Range<usize>, dims: usize) -> Expansion {
     let mut flat: Vec<u16> = Vec::new();
     let mut counts: Vec<usize> = Vec::with_capacity(vms.len());
+    let mut row = vec![0u16; dims];
     for vm in vms {
-        let before = flat.len();
-        space.place_into(node, vm, |vals| flat.extend_from_slice(vals));
-        counts.push((flat.len() - before) / dims.max(1));
+        counts.push(moves.place_into(node, vm, &mut row, &mut flat));
     }
     Expansion { flat, counts }
 }

@@ -10,6 +10,12 @@
 //! allocating, and the table layout is a pure function of insertion
 //! order — no `RandomState`, nothing to iterate, nothing for the D001
 //! determinism lint to worry about.
+//!
+//! The graph builder uses it twice: once for whole profiles, whose ids
+//! are the node ids, and once per kind in its move table
+//! (`profile.rs`), where the interned values are one kind's usage slice
+//! and the ids number the distinct per-kind states whose placements
+//! are computed once per build.
 
 use crate::profile::Profile;
 

@@ -9,6 +9,7 @@
 //! `{α,α,0,0}` and `{0,0,α,α}` map to the same canonical profile — while
 //! preserving exactly the distinctions that matter for ranking.
 
+use crate::intern::{ProfileId, ProfileInterner};
 use prvm_model::combin;
 use prvm_model::units::convert;
 use prvm_model::{QuantizedPm, QuantizedVm};
@@ -226,53 +227,151 @@ impl ProfileSpace {
     /// Enumerate every *distinct* profile reachable from `profile` by
     /// hosting one `vm` (the paper's `S(P_i)` restricted to one VM type).
     /// Empty when the VM does not fit.
+    ///
+    /// The outcomes are the cartesian product of each kind's
+    /// [`place_multiset`] outcomes, first kind outermost. This is the
+    /// reference the graph builder's `MoveTable` reproduces.
     #[must_use]
     pub fn place(&self, profile: &Profile, vm: &ProfileVm) -> Vec<Profile> {
-        let mut out: Vec<Profile> = Vec::new();
-        self.place_into(profile, vm, |vals| {
-            out.push(Profile(vals.to_vec().into_boxed_slice()));
-        });
-        out
+        debug_assert_eq!(vm.demands.len(), self.kinds.len());
+        // Distinct per-kind multisets give distinct combined profiles,
+        // so no dedup is needed.
+        let mut rows: Vec<Vec<u16>> = vec![Vec::new()];
+        for (i, k) in self.kinds.iter().enumerate() {
+            let outcomes = place_multiset(self.kind_usage(profile, i), k.cap, &vm.demands[i]);
+            rows = rows
+                .iter()
+                .flat_map(|row| outcomes.iter().map(move |o| [row.as_slice(), o].concat()))
+                .collect();
+        }
+        rows.into_iter()
+            .map(|row| Profile(row.into_boxed_slice()))
+            .collect()
+    }
+}
+
+/// The per-kind placements of one graph build (DESIGN.md §15).
+///
+/// A profile graph visits every node once per VM type, but the nodes
+/// share few distinct per-kind usages: the default M3 graph has 82k
+/// nodes yet only 581 distinct usages over its three kinds. Per kind, a [`ProfileInterner`] numbers each distinct
+/// kind usage (a *state*), and a flat CSR array holds, per `(state, VM
+/// index)`, that state's sorted and deduplicated [`place_multiset`]
+/// outcomes, computed once. A node's outcomes for a VM are then the
+/// cartesian product of its states' rows, in [`ProfileSpace::place`]'s
+/// order.
+///
+/// The graph builder adds each node as it mints it (sequentially) and
+/// reads the table from its workers, so the table holds no locks.
+pub(crate) struct MoveTable<'a> {
+    space: &'a ProfileSpace,
+    vms: &'a [ProfileVm],
+    kinds: Vec<KindMoves>,
+    /// Per added node, its state in each kind:
+    /// `node_states[node * kinds + k]`.
+    node_states: Vec<ProfileId>,
+    /// `place_multiset` calls made so far.
+    kind_moves: u64,
+}
+
+/// The states and outcome rows of one kind of a `MoveTable`.
+struct KindMoves {
+    states: ProfileInterner,
+    /// Outcomes of `(state s, VM v)`, each `count` values wide, at
+    /// `vals[off[s * V + v]..off[s * V + v + 1]]`.
+    vals: Vec<u16>,
+    off: Vec<usize>,
+}
+
+impl<'a> MoveTable<'a> {
+    /// An empty table for placing `vms` in `space`.
+    pub(crate) fn new(space: &'a ProfileSpace, vms: &'a [ProfileVm]) -> Self {
+        let kinds = space
+            .kinds
+            .iter()
+            .map(|_| KindMoves {
+                states: ProfileInterner::new(),
+                vals: Vec::new(),
+                off: vec![0],
+            })
+            .collect();
+        Self {
+            space,
+            vms,
+            kinds,
+            node_states: Vec::new(),
+            kind_moves: 0,
+        }
     }
 
-    /// [`Self::place`] without allocating a `Profile` per outcome: `f`
-    /// is invoked on each outcome's canonical values, in exactly
-    /// [`Self::place`]'s enumeration order (per-kind sorted outcomes ×
-    /// kind-major cartesian product). The graph builder's hot path —
-    /// outcomes land in a flat scratch buffer and are interned from
-    /// there.
-    pub(crate) fn place_into(&self, profile: &Profile, vm: &ProfileVm, mut f: impl FnMut(&[u16])) {
-        debug_assert_eq!(vm.demands.len(), self.kinds.len());
-        // Per-kind distinct outcomes.
-        let mut per_kind: Vec<Vec<Vec<u16>>> = Vec::with_capacity(self.kinds.len());
-        for (i, k) in self.kinds.iter().enumerate() {
-            let usage = self.kind_usage(profile, i);
-            let outcomes = place_multiset(usage, k.cap, &vm.demands[i]);
-            if outcomes.is_empty() {
-                return;
+    /// Add the next node, given its canonical values: look up its state
+    /// in each kind, and place every VM on the states seen for the first
+    /// time.
+    pub(crate) fn add_node(&mut self, values: &[u16]) {
+        for (k, (kind, moves)) in self.space.kinds.iter().zip(&mut self.kinds).enumerate() {
+            let usage = &values[self.space.offsets[k]..self.space.offsets[k + 1]];
+            let (state, fresh) = moves.states.intern_values(usage);
+            if fresh {
+                for vm in self.vms {
+                    for outcome in place_multiset(usage, kind.cap, &vm.demands[k]) {
+                        moves.vals.extend_from_slice(&outcome);
+                    }
+                    moves.off.push(moves.vals.len());
+                    self.kind_moves += 1;
+                }
             }
-            per_kind.push(outcomes);
+            self.node_states.push(state);
         }
-        // Cartesian product across kinds. Distinct per-kind multisets give
-        // distinct combined profiles, so no dedup is needed.
-        let mut current = vec![0u16; self.dims()];
-        fn rec(
-            per_kind: &[Vec<Vec<u16>>],
-            offsets: &[usize],
-            kind: usize,
-            current: &mut [u16],
-            f: &mut impl FnMut(&[u16]),
-        ) {
-            if kind == per_kind.len() {
-                f(current);
-                return;
-            }
-            for outcome in &per_kind[kind] {
-                current[offsets[kind]..offsets[kind + 1]].copy_from_slice(outcome);
-                rec(per_kind, offsets, kind + 1, current, f);
-            }
+    }
+
+    /// The number of `place_multiset` calls made so far.
+    pub(crate) fn kind_moves(&self) -> u64 {
+        self.kind_moves
+    }
+
+    /// Append to `out` the outcomes of placing `vms[vm]` on added node
+    /// `node`, each `dims` values wide, in [`ProfileSpace::place`]'s
+    /// order; `row` is `dims`-wide scratch. Returns the outcome count.
+    pub(crate) fn place_into(
+        &self,
+        node: usize,
+        vm: usize,
+        row: &mut [u16],
+        out: &mut Vec<u16>,
+    ) -> usize {
+        let n = self.kinds.len();
+        let before = out.len();
+        self.product(&self.node_states[node * n..(node + 1) * n], vm, 0, row, out);
+        (out.len() - before) / row.len()
+    }
+
+    /// Kind `k`'s outcome row for `(state, vm)`, flattened.
+    fn outcomes(&self, k: usize, state: ProfileId, vm: usize) -> &[u16] {
+        let moves = &self.kinds[k];
+        let at = state.index() * self.vms.len() + vm;
+        &moves.vals[moves.off[at]..moves.off[at + 1]]
+    }
+
+    /// Append the product of kinds `k..` to `out`, with `row` holding
+    /// the chosen outcomes of kinds `..k`. A kind with no outcome (the
+    /// VM does not fit) ends the product empty.
+    fn product(
+        &self,
+        states: &[ProfileId],
+        vm: usize,
+        k: usize,
+        row: &mut [u16],
+        out: &mut Vec<u16>,
+    ) {
+        let Some(&state) = states.get(k) else {
+            out.extend_from_slice(row);
+            return;
+        };
+        let (lo, hi) = (self.space.offsets[k], self.space.offsets[k + 1]);
+        for outcome in self.outcomes(k, state, vm).chunks_exact(hi - lo) {
+            row[lo..hi].copy_from_slice(outcome);
+            self.product(states, vm, k + 1, row, out);
         }
-        rec(&per_kind, &self.offsets, 0, &mut current, &mut f);
     }
 }
 

@@ -3,7 +3,7 @@
 //! ranked-option cache against a cache-free scan.
 
 use pagerankvm::{
-    compute_bpru, pagerank, GraphLimits, Orientation, PageRankConfig, PageRankVmPlacer,
+    compute_bpru, pagerank, GraphLimits, KindSpace, Orientation, PageRankConfig, PageRankVmPlacer,
     ProfileGraph, ProfileSpace, ProfileVm, ScoreBook, ScoreTable,
 };
 use proptest::prelude::*;
@@ -140,6 +140,90 @@ proptest! {
         for (_, s) in table.iter() {
             prop_assert!(s.is_finite() && s > 0.0);
         }
+    }
+}
+
+/// A multi-kind space from `(count, cap)` per kind, plus one VM per
+/// `raw` row: kind `k` demands the non-zero values of
+/// `raw[3k..3k + count]`, each reduced mod `cap + 1` (so a VM may skip a
+/// kind, or demand less than the kind has dimensions).
+fn multi_kind_setting(kinds: &[(usize, u16)], raw: &[Vec<u64>]) -> (ProfileSpace, Vec<ProfileVm>) {
+    let space = ProfileSpace::new(
+        kinds
+            .iter()
+            .enumerate()
+            .map(|(k, &(count, cap))| KindSpace {
+                name: format!("kind{k}"),
+                count,
+                cap,
+            }),
+    );
+    let vms = raw
+        .iter()
+        .enumerate()
+        .map(|(i, row)| {
+            let demands = kinds
+                .iter()
+                .enumerate()
+                .map(|(k, &(count, cap))| {
+                    let mut d: Vec<u64> = row[3 * k..3 * k + count]
+                        .iter()
+                        .map(|&v| v % (u64::from(cap) + 1))
+                        .filter(|&v| v > 0)
+                        .collect();
+                    d.sort_unstable_by(|a, b| b.cmp(a));
+                    d
+                })
+                .collect();
+            ProfileVm::from_demands(format!("vm{i}"), demands)
+        })
+        .collect();
+    (space, vms)
+}
+
+/// Every node's per-VM expansion group is `ProfileSpace::place` of the
+/// node's profile, interned in enumeration order.
+fn groups_match_place(graph: &ProfileGraph) -> Result<(), TestCaseError> {
+    for id in graph.node_ids() {
+        for (v, vm) in graph.vm_types().iter().enumerate() {
+            let want: Vec<u32> = graph
+                .space()
+                .place(graph.profile(id), vm)
+                .iter()
+                .map(|p| graph.node(p).expect("every outcome is a node"))
+                .collect();
+            prop_assert_eq!(graph.vm_successors(id, v), want.as_slice());
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The graph builder's memoised per-kind placements reproduce the
+    /// reference `place` on every node, for reachable and full-space
+    /// builds and for an extend, at 1 and 2 workers.
+    #[test]
+    fn expansion_groups_equal_reference_place(
+        kinds in prop::collection::vec((1usize..4, 1u16..6), 1..4),
+        raw in prop::collection::vec(prop::collection::vec(0u64..6, 9), 1..4),
+    ) {
+        let (space, vms) = multi_kind_setting(&kinds, &raw);
+        let limits = GraphLimits { max_nodes: 4000 };
+        for threads in [1, 2] {
+            prvm_par::set_global_threads(threads);
+            let built = [
+                ProfileGraph::build(space.clone(), vms.clone(), limits),
+                ProfileGraph::build_full(space.clone(), vms.clone(), limits),
+                ProfileGraph::build(space.clone(), vms[..1].to_vec(), limits)
+                    .and_then(|base| base.extend(vms[1..].to_vec(), limits)),
+            ];
+            for graph in built.iter().flatten() {
+                groups_match_place(graph)?;
+            }
+        }
+        prvm_par::set_global_threads(0);
     }
 }
 

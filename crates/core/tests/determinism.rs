@@ -7,7 +7,7 @@ use pagerankvm::{
     pagerank, pagerank_warm, GraphLimits, Orientation, PageRankConfig, PageRankResult,
     ProfileGraph, ProfileSpace, ProfileVm, ScoreBook, ScoreTable,
 };
-use prvm_model::{catalog, Quantizer};
+use prvm_model::{catalog, Quantizer, VmSpec};
 use std::sync::{Mutex, PoisonError};
 
 fn paper_vms() -> Vec<ProfileVm> {
@@ -450,6 +450,23 @@ fn default_book_digests_are_pinned() {
             table_digest(table),
         ));
     }
+    // A same-footprint refresh: a renamed m3.2xlarge lands every
+    // outcome on a profile the base already numbered.
+    let m3 = catalog::vm_m3_2xlarge();
+    let renamed = VmSpec::new(
+        "m3.2xlarge.g2",
+        m3.vcpus,
+        m3.vcpu_mhz,
+        m3.memory,
+        m3.disks().to_vec(),
+    );
+    let refreshed = base.extend(&[renamed], &config, limits).expect("refresh");
+    for (pm, table) in refreshed.tables() {
+        got.push((
+            format!("default book refresh {}", pm.name),
+            table_digest(table),
+        ));
+    }
 
     // Only a deliberate change to graph or score bits may update these.
     let want = [
@@ -457,6 +474,8 @@ fn default_book_digests_are_pinned() {
         ("default book C3", 0x69777ef2b3de7ab5),
         ("default book extend M3", 0x176b264efe944788),
         ("default book extend C3", 0xea62be54e89549c1),
+        ("default book refresh M3", 0x89e07e3984440d62),
+        ("default book refresh C3", 0x95d5527510b1d220),
     ];
     let got: Vec<(&str, u64)> = got.iter().map(|(n, d)| (n.as_str(), *d)).collect();
     assert_eq!(got, want);

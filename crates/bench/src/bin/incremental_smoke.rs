@@ -72,12 +72,12 @@ fn main() {
     let pm_types = catalog::ec2_pm_types();
     let all_vms = catalog::ec2_vm_types();
 
-    // Two deltas covering both stitch paths of the delta re-BFS: a
+    // Two deltas covering both shapes of the delta re-BFS: a
     // *structural* delta (the last catalog type removed, then re-added
-    // — its edges discover tens of thousands of new nodes and break
-    // the identity mapping) and a *refresh* delta (a next-generation
-    // type with an identical quantized footprint — the cached-replay
-    // identity fast path answers everything).
+    // — its edges discover tens of thousands of new nodes that are
+    // expanded afresh) and a *refresh* delta (a next-generation type
+    // with an identical quantized footprint — every old group is
+    // replayed from the expansion cache and no profile is new).
     let structural_base = all_vms[..all_vms.len() - 1].to_vec();
     let structural_delta = all_vms[all_vms.len() - 1..].to_vec();
     let refresh_delta = vec![VmSpec::new(

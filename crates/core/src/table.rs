@@ -78,8 +78,8 @@ impl ScoreTable {
     /// mean is mostly same-footprint refreshes (2–3 sweeps): the
     /// structural `c3.xlarge` delta still takes 46 of a cold run's 47
     /// sweeps on M3 (see [`pagerank_warm`]). The graph side splits the
-    /// same way: `graph.extend_ms.identity` reads 59 ms per refresh
-    /// there, `graph.extend_ms.structural` 526 ms.
+    /// same way: `graph.extend_ms.identity` reads 70 ms per refresh
+    /// there, `graph.extend_ms.structural` 520 ms (one worker, 2 vCPUs).
     ///
     /// # Errors
     ///

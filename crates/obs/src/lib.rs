@@ -52,13 +52,43 @@ pub use span::Span;
 pub use timeline::Timeline;
 pub use trace::{validate_chrome_trace, TraceSink, TraceStats};
 
+/// The per-call-site handle cache behind [`counter!`], [`gauge!`] and
+/// [`histogram!`]: resolve the `$lookup` handle of type `$kind` once,
+/// then call `$method($value)` on it. The cache is keyed on
+/// [`Registry::generation`], read **before** resolving the global, so a
+/// concurrent swap costs at most one wasted re-resolve, never a
+/// permanently stale cache.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __cached_metric {
+    ($kind:ident, $lookup:ident, $name:expr, $method:ident($value:expr)) => {{
+        static CACHED: ::std::sync::Mutex<
+            ::std::option::Option<(u64, ::std::sync::Arc<$crate::$kind>)>,
+        > = ::std::sync::Mutex::new(::std::option::Option::None);
+        let generation = $crate::Registry::generation();
+        let mut cached = CACHED
+            .lock()
+            .unwrap_or_else(::std::sync::PoisonError::into_inner);
+        match cached.as_ref() {
+            ::std::option::Option::Some((cached_generation, handle))
+                if *cached_generation == generation =>
+            {
+                handle.$method($value);
+            }
+            _ => {
+                let handle = $crate::Registry::global().$lookup($name);
+                handle.$method($value);
+                *cached = ::std::option::Option::Some((generation, handle));
+            }
+        }
+    }};
+}
+
 /// Bump a named counter in the global [`Registry`], caching the handle
 /// per call site. The cache is keyed on [`Registry::generation`], so a
 /// test that swaps the global registry ([`Registry::install_global`])
 /// sees subsequent increments land in the new registry rather than a
-/// stale handle on the old one. The generation is read **before**
-/// resolving the global: a concurrent swap costs at most one wasted
-/// re-resolve, never a permanently stale cache.
+/// stale handle on the old one.
 ///
 /// ```
 /// prvm_obs::counter!("placer.permutations_evaluated", 12);
@@ -69,27 +99,9 @@ macro_rules! counter {
     ($name:expr) => {
         $crate::counter!($name, 1u64)
     };
-    ($name:expr, $delta:expr) => {{
-        static CACHED: ::std::sync::Mutex<
-            ::std::option::Option<(u64, ::std::sync::Arc<$crate::Counter>)>,
-        > = ::std::sync::Mutex::new(::std::option::Option::None);
-        let generation = $crate::Registry::generation();
-        let mut cached = CACHED
-            .lock()
-            .unwrap_or_else(::std::sync::PoisonError::into_inner);
-        match cached.as_ref() {
-            ::std::option::Option::Some((cached_generation, handle))
-                if *cached_generation == generation =>
-            {
-                handle.add($delta as u64);
-            }
-            _ => {
-                let handle = $crate::Registry::global().counter($name);
-                handle.add($delta as u64);
-                *cached = ::std::option::Option::Some((generation, handle));
-            }
-        }
-    }};
+    ($name:expr, $delta:expr) => {
+        $crate::__cached_metric!(Counter, counter, $name, add($delta as u64))
+    };
 }
 
 /// Set a named gauge in the global [`Registry`], caching the handle
@@ -101,27 +113,9 @@ macro_rules! counter {
 /// ```
 #[macro_export]
 macro_rules! gauge {
-    ($name:expr, $value:expr) => {{
-        static CACHED: ::std::sync::Mutex<
-            ::std::option::Option<(u64, ::std::sync::Arc<$crate::Gauge>)>,
-        > = ::std::sync::Mutex::new(::std::option::Option::None);
-        let generation = $crate::Registry::generation();
-        let mut cached = CACHED
-            .lock()
-            .unwrap_or_else(::std::sync::PoisonError::into_inner);
-        match cached.as_ref() {
-            ::std::option::Option::Some((cached_generation, handle))
-                if *cached_generation == generation =>
-            {
-                handle.set($value as f64);
-            }
-            _ => {
-                let handle = $crate::Registry::global().gauge($name);
-                handle.set($value as f64);
-                *cached = ::std::option::Option::Some((generation, handle));
-            }
-        }
-    }};
+    ($name:expr, $value:expr) => {
+        $crate::__cached_metric!(Gauge, gauge, $name, set($value as f64))
+    };
 }
 
 /// Record a value into a named histogram in the global [`Registry`],
@@ -134,27 +128,9 @@ macro_rules! gauge {
 /// ```
 #[macro_export]
 macro_rules! histogram {
-    ($name:expr, $value:expr) => {{
-        static CACHED: ::std::sync::Mutex<
-            ::std::option::Option<(u64, ::std::sync::Arc<$crate::Histogram>)>,
-        > = ::std::sync::Mutex::new(::std::option::Option::None);
-        let generation = $crate::Registry::generation();
-        let mut cached = CACHED
-            .lock()
-            .unwrap_or_else(::std::sync::PoisonError::into_inner);
-        match cached.as_ref() {
-            ::std::option::Option::Some((cached_generation, handle))
-                if *cached_generation == generation =>
-            {
-                handle.record($value as u64);
-            }
-            _ => {
-                let handle = $crate::Registry::global().histogram($name);
-                handle.record($value as u64);
-                *cached = ::std::option::Option::Some((generation, handle));
-            }
-        }
-    }};
+    ($name:expr, $value:expr) => {
+        $crate::__cached_metric!(Histogram, histogram, $name, record($value as u64))
+    };
 }
 
 /// Serializes unit tests that read or swap the global registry, so a

@@ -480,3 +480,47 @@ fn default_book_digests_are_pinned() {
     let got: Vec<(&str, u64)> = got.iter().map(|(n, d)| (n.as_str(), *d)).collect();
     assert_eq!(got, want);
 }
+
+/// The literal-pseudocode orientation ([`Orientation::TowardFuller`])
+/// pinned the same way, since every other pin here runs the default
+/// orientation: graph and score bits of the paper graph and of the
+/// coarse EC2 book's M3 table, plus each run's sweep count. Pinned at
+/// 1, 2 and 4 workers.
+#[test]
+fn toward_fuller_score_digests_are_pinned() {
+    let limits = GraphLimits::default();
+    let config = PageRankConfig {
+        orientation: Orientation::TowardFuller,
+        ..PageRankConfig::default()
+    };
+    let paper =
+        ProfileGraph::build(ProfileSpace::uniform(4, 4), paper_vms(), limits).expect("paper graph");
+    let book = ScoreBook::build(
+        coarse(),
+        &[catalog::pm_m3()],
+        &catalog::ec2_vm_types(),
+        &PageRankConfig::default(),
+        limits,
+    )
+    .expect("coarse book");
+    let (_, m3) = book.tables().next().expect("one table");
+    let graphs = [("paper", &paper), ("coarse M3", m3.graph())];
+    let runs = at_widths(&WIDTHS, |_| {
+        graphs
+            .iter()
+            .map(|&(name, graph)| {
+                let r = pagerank(graph, &config);
+                (name, r.iterations, graph_digest(graph, &r.scores))
+            })
+            .collect::<Vec<_>>()
+    });
+
+    // Only a deliberate change to graph or score bits may update these.
+    let want = [
+        ("paper", 38, 0x661ba4d9259f544a),
+        ("coarse M3", 24, 0x3d5f4185b2072d09),
+    ];
+    for (got, threads) in runs.iter().zip(WIDTHS) {
+        assert_eq!(got, &want, "{threads} threads");
+    }
+}

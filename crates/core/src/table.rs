@@ -70,7 +70,7 @@ impl ScoreTable {
     /// was. In
     ///
     /// ```text
-    /// bash perfbench/run.sh --workload book-refresh --seed 1 --seconds 5 --trace 1
+    /// bash perfbench/run.sh --workload book-refresh --seed 1 --seconds 20 --trace 1
     /// ```
     ///
     /// `pagerank.warm_sweeps` is 16.5 per table against
@@ -78,8 +78,9 @@ impl ScoreTable {
     /// mean is mostly same-footprint refreshes (2–3 sweeps): the
     /// structural `c3.xlarge` delta still takes 46 of a cold run's 47
     /// sweeps on M3 (see [`pagerank_warm`]). The graph side splits the
-    /// same way: `graph.extend_ms.identity` reads 70 ms per refresh
-    /// there, `graph.extend_ms.structural` 520 ms (one worker, 2 vCPUs).
+    /// same way: `graph.extend_ms.identity` reads 71 ms per refresh
+    /// there, `graph.extend_ms.structural` 395 ms (medians of four
+    /// runs, one worker, 2 vCPUs).
     ///
     /// # Errors
     ///

@@ -1,12 +1,12 @@
-//! CI smoke check for the incremental score engine (DESIGN.md §15):
-//! byte-diffs the PVSB serialization of an incrementally extended score
-//! book against a from-scratch seeded rebuild of the same catalog, at
-//! several worker counts.
+//! CI smoke check for catalog deltas (DESIGN.md §15): byte-diffs the
+//! PVSB serialization of an extended score book against a from-scratch
+//! seeded rebuild of the same catalog, at several worker counts.
 //!
 //! The determinism contract this pins down:
 //!
-//! 1. **Path independence** — `ScoreBook::extend` (delta re-BFS +
-//!    warm-started PageRank) produces bit-identical scores to
+//! 1. **Path independence** — `ScoreBook::extend` (each graph aliased
+//!    or built cold over the merged catalog, then warm-started
+//!    PageRank) produces bit-identical scores to
 //!    `ScoreBook::build_seeded` (fresh merged graph, warm PageRank).
 //! 2. **Worker-count invariance** — both paths produce the same bytes
 //!    at 1, 2 and 4 workers.
@@ -72,12 +72,13 @@ fn main() {
     let pm_types = catalog::ec2_pm_types();
     let all_vms = catalog::ec2_vm_types();
 
-    // Two deltas covering both shapes of the delta re-BFS: a
-    // *structural* delta (the last catalog type removed, then re-added
-    // — its edges discover tens of thousands of new nodes that are
-    // expanded afresh) and a *refresh* delta (a next-generation type
-    // with an identical quantized footprint — every old group is
-    // replayed from the expansion cache and no profile is new).
+    // Three deltas covering both graph paths and their mix: a
+    // *structural* delta (the last catalog type removed, then re-added:
+    // a new footprint, so the merged catalog is built cold), a
+    // *refresh* delta (a next-generation type with an identical
+    // quantized footprint: aliased, no profile is new) and a *mixed*
+    // delta (that refresh plus the structural type in one delta: one
+    // new footprint is enough to build cold).
     let structural_base = all_vms[..all_vms.len() - 1].to_vec();
     let structural_delta = all_vms[all_vms.len() - 1..].to_vec();
     let refresh_delta = vec![VmSpec::new(
@@ -87,9 +88,15 @@ fn main() {
         MemMib::from_gib(30.0),
         vec![DiskGb(80), DiskGb(80)],
     )];
-    let scenarios: [(&str, &[VmSpec], &[VmSpec]); 2] = [
+    let mixed_delta: Vec<VmSpec> = refresh_delta
+        .iter()
+        .chain(&structural_delta)
+        .cloned()
+        .collect();
+    let scenarios: [(&str, &[VmSpec], &[VmSpec]); 3] = [
         ("structural", &structural_base, &structural_delta),
         ("refresh", &all_vms, &refresh_delta),
+        ("mixed", &structural_base, &mixed_delta),
     ];
 
     let mut ok = true;
@@ -140,7 +147,7 @@ fn main() {
     prvm_par::set_global_threads(0);
 
     if !ok {
-        eprintln!("[incremental-smoke] FAILED: incremental path diverged from rebuild");
+        eprintln!("[incremental-smoke] FAILED: extended book diverged from the seeded rebuild");
         std::process::exit(1);
     }
     eprintln!("[incremental-smoke] all byte-diffs clean");

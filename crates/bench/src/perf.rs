@@ -1,6 +1,6 @@
 //! The `pagerankvm bench` perf harness, the workspace's one in-process
 //! timing harness: times graph build, PageRank convergence, the score
-//! book's incremental refresh, batch placement, single `choose` calls,
+//! book's refresh by a catalog delta, batch placement, single `choose` calls,
 //! cold-start placement and one simulated day across VM counts and
 //! worker counts, and writes the machine-readable `BENCH_PRVM.json`
 //! report (schema [`PERF_SCHEMA`]).
@@ -32,10 +32,10 @@ use std::path::PathBuf;
 pub const PERF_SCHEMA: &str = "prvm-bench-perf/v2";
 
 /// The stage names a valid report may contain, in pipeline order.
-/// `full_rebuild` and `incremental` time the score-book level of the
-/// incremental score engine (DESIGN.md §15): a cold `ScoreBook::build`
-/// of the merged catalog versus `ScoreBook::extend` from a prebuilt
-/// base book (delta re-BFS + warm-started PageRank). `choose` times
+/// `full_rebuild` and `incremental` time a catalog delta at the
+/// score-book level (DESIGN.md §15): a cold `ScoreBook::build` of the
+/// merged catalog versus `ScoreBook::extend` from a prebuilt base book
+/// (aliased graph + warm-started PageRank). `choose` times
 /// batches of one `choose` per EC2 VM type, each by a fresh placer, on
 /// the cluster `placement` left behind; `event_sim` is one simulated day
 /// of the FF + MMT scenario under every fault class.
@@ -407,12 +407,11 @@ fn m3_inputs(quantizer: &Quantizer) -> (ProfileSpace, Vec<ProfileVm>) {
 
 /// The catalog delta of the `full_rebuild`/`incremental` stages: a
 /// next-generation refresh of `m3.2xlarge` (same quantized footprint,
-/// new name) — the common "new instance generation" catalog event the
-/// incremental engine is built for. Its expansions all land on
-/// profiles the base graph already numbers, so the cached-replay path
-/// answers everything and the warm-started PageRank re-converges in
-/// 2–3 sweeps; structural deltas that reshape the graph fall closer
-/// to full-rebuild cost (see EXPERIMENTS.md).
+/// new name) — the common "new instance generation" catalog event.
+/// It repeats a known footprint, so `extend` aliases the base graph
+/// and the warm-started PageRank re-converges in 2–3 sweeps; a
+/// structural delta builds the merged graph cold and costs about a
+/// full rebuild (see EXPERIMENTS.md).
 fn catalog_delta() -> prvm_model::VmSpec {
     prvm_model::VmSpec::new(
         "m3.2xlarge.g2",
@@ -556,14 +555,14 @@ pub fn run(args: &PerfArgs) -> Result<PerfReport, String> {
         reference_pr.get_or_insert(result);
     }
 
-    // Stages 3–4: the incremental score engine (DESIGN.md §15). Both
+    // Stages 3–4: a catalog delta (DESIGN.md §15). Both
     // stages work at the score-book level and are VM-count independent
     // (vms = 0). The scenario: a live deployment's catalog gains
     // [`catalog_delta`], a next-generation refresh of an existing
     // instance type. `full_rebuild` is the cost of a cold
     // `ScoreBook::build` of the merged catalog; `incremental` is
-    // `ScoreBook::extend` (cached-replay re-BFS + warm-started
-    // PageRank) from the base book. The base book is built once,
+    // `ScoreBook::extend` (aliased graph + warm-started PageRank)
+    // from the base book. The base book is built once,
     // untimed — the determinism contract makes the worker width
     // irrelevant to its contents.
     let pm_types = catalog::ec2_pm_types();
@@ -1354,7 +1353,7 @@ mod tests {
                 assert_eq!(cells, 1, "{stage} at {threads} threads");
             }
         }
-        // The incremental extend re-discovers exactly the full graph.
+        // The extended book holds exactly the full rebuild's graph.
         let nodes = |stage: &str| {
             report
                 .rows

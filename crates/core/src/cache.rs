@@ -654,8 +654,8 @@ mod tests {
         let loaded = ScoreBook::load(&mut Cursor::new(&buf), 42).unwrap();
         assert_eq!(book_bits(&book), book_bits(&loaded));
         assert_eq!(book.quantizer(), loaded.quantizer());
-        // The decoded graph carries the expansion cache, so the loaded
-        // book can extend incrementally too.
+        // The decoded graph carries the expansion groups, so the loaded
+        // book can alias a known footprint too.
         let (pm, t) = loaded.tables().next().unwrap();
         let (opm, ot) = book.tables().next().unwrap();
         assert_eq!(pm, opm);

@@ -16,31 +16,27 @@
 //! Profiles are hash-consed into a [`ProfileInterner`] whose dense
 //! [`ProfileId`]s *are* the node ids, and adjacency is CSR-first: a flat
 //! `u32` successor array plus offsets, with no intermediate map. Besides
-//! the deduplicated successor CSR the graph keeps the **expansion cache**
+//! the deduplicated successor CSR the graph keeps the **expansion groups**
 //! — per `(node, VM type)`, the outcome ids of `place` in enumeration
 //! order.
 //!
 //! # One construction routine
 //!
-//! Every graph comes out of one level-synchronous BFS, the *replay* of a
-//! base graph's catalog grown by some VM types. Its starting nodes
-//! depend on the base graph's mode: node 0, the empty profile, for a
-//! reachable graph; every node, in id order, for a full-space graph.
-//! Expansions the base graph already holds are answered from its
-//! expansion cache, translated into the new numbering, and an old
-//! node's successor row starts from its base row; everything else is
-//! read from the replay's `MoveTable`, which computes each distinct
-//! per-kind placement once and keys every node by its tuple of
-//! per-kind states.
+//! Every graph comes out of one level-synchronous BFS over its catalog.
+//! Its starting nodes depend on the mode: node 0, the empty profile, for
+//! a reachable graph; every canonical profile, in id order, for a
+//! full-space graph. Expansions are read from the build's `MoveTable`,
+//! which computes each distinct per-kind placement once and keys every
+//! node by its tuple of per-kind states.
 //!
-//! - [`ProfileGraph::build`] replays its catalog over a 1-node root with
-//!   no VM types, so every expansion is read from the move table;
-//! - [`ProfileGraph::build_full`] does the same over a root holding every
-//!   canonical profile, so no node is ever minted;
-//! - [`ProfileGraph::extend`] replays the merged catalog over `self`,
-//!   which mints node ids in exactly the order a fresh build would — the
-//!   extended graph is bit-for-bit identical to a fresh build over the
-//!   merged catalog.
+//! - [`ProfileGraph::build`] runs it from the empty profile;
+//! - [`ProfileGraph::build_full`] runs it from every canonical profile,
+//!   so no node is ever minted;
+//! - [`ProfileGraph::extend`] aliases a delta that only repeats known
+//!   footprints (each alias's groups are copies of its source's, and
+//!   nothing is minted), and otherwise runs it over the merged catalog.
+//!   Either way the extended graph is bit-for-bit identical to a fresh
+//!   build over the merged catalog.
 
 use crate::intern::{ProfileId, ProfileInterner};
 use crate::profile::{MoveTable, Profile, ProfileSpace, ProfileVm};
@@ -49,7 +45,6 @@ use prvm_obs::Span;
 use prvm_par::Pool;
 use std::error::Error;
 use std::fmt;
-use std::ops::Range;
 
 /// Node handle inside a [`ProfileGraph`].
 pub type NodeId = u32;
@@ -70,9 +65,6 @@ pub(crate) fn ix(id: NodeId) -> usize {
 pub(crate) fn nid(i: usize) -> NodeId {
     NodeId::try_from(i).unwrap_or(NodeId::MAX)
 }
-
-/// Sentinel in the old↔new id maps maintained by the replay.
-const UNMAPPED: NodeId = NodeId::MAX;
 
 /// Construction limits guarding against a quantization that explodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,7 +109,7 @@ impl fmt::Display for GraphError {
 
 impl Error for GraphError {}
 
-/// Which node set a graph was built over. It picks the replay's
+/// Which node set a graph was built over. It picks the build's
 /// starting nodes, so an extended graph keeps its base's node set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BuildMode {
@@ -150,22 +142,18 @@ pub(crate) type RawParts<'a> = (
 );
 
 /// The expansion of one frontier node, produced on a worker: for each VM
-/// type the worker had to evaluate, the outcomes' move-table state
-/// tuples (one state per kind) and the per-VM outcome count.
+/// type, the outcomes' move-table state tuples (one state per kind) and
+/// the per-VM outcome count.
 struct Expansion {
     states: Vec<ProfileId>,
     counts: Vec<usize>,
 }
 
-/// A replayed graph plus the tallies its entry point reports.
-struct Replayed {
+/// A cold-built graph plus the tallies its `graph.built` event reports.
+struct Built {
     graph: ProfileGraph,
     /// Group outcomes that landed on an already-numbered node.
     dedup_hits: u64,
-    /// `(node, VM)` groups replayed from the base's expansion cache.
-    cached_groups: u64,
-    /// `(node, VM)` groups computed from the move table.
-    computed_groups: u64,
     /// Distinct per-kind placements (`place_multiset` calls).
     kind_moves: u64,
 }
@@ -180,7 +168,7 @@ pub struct ProfileGraph {
     /// `succ[succ_off[i]..succ_off[i+1]]`, sorted and deduplicated.
     succ: Vec<NodeId>,
     succ_off: Vec<usize>,
-    /// Expansion cache: outcomes of `place(profile(i), vm_types[v])` in
+    /// Expansion groups: outcomes of `place(profile(i), vm_types[v])` in
     /// enumeration order, at `gsucc[goff[i*V + v]..goff[i*V + v + 1]]`.
     gsucc: Vec<NodeId>,
     goff: Vec<usize>,
@@ -204,7 +192,7 @@ impl ProfileGraph {
         vm_types: Vec<ProfileVm>,
         limits: GraphLimits,
     ) -> Result<Self, GraphError> {
-        Self::build_from_root(space, vm_types, limits, &Pool::global(), BuildMode::Full)
+        Ok(Self::build_cold(space, vm_types, limits, BuildMode::Full)?.graph)
     }
 
     /// Build the graph by BFS from the empty profile.
@@ -250,31 +238,129 @@ impl ProfileGraph {
         vm_types: Vec<ProfileVm>,
         limits: GraphLimits,
     ) -> Result<Self, GraphError> {
-        Self::build_from_root(
-            space,
-            vm_types,
-            limits,
-            &Pool::global(),
-            BuildMode::Reachable,
-        )
+        Ok(Self::build_cold(space, vm_types, limits, BuildMode::Reachable)?.graph)
     }
 
-    /// The cold build behind [`Self::build`] and [`Self::build_full`]:
-    /// replay the usable VM types over a root graph that has none.
-    fn build_from_root(
+    /// The one graph-construction routine, behind [`Self::build`],
+    /// [`Self::build_full`] and a structural [`Self::extend`]: a
+    /// level-synchronous BFS over the usable VM types from the mode's
+    /// starting nodes (node 0, the empty profile, for
+    /// [`BuildMode::Reachable`]; every canonical profile, in id order,
+    /// for [`BuildMode::Full`]). Expansions are read from a `MoveTable`
+    /// on the global [`Pool`] as per-kind state tuples, looked up in the
+    /// table's node index and minted on a miss, so ids come out in
+    /// first-discovery order. Counts
+    /// `graph.{nodes,edges,dedup_hits,kind_moves}` and emits
+    /// `graph.built`.
+    fn build_cold(
         space: ProfileSpace,
         vm_types: Vec<ProfileVm>,
         limits: GraphLimits,
-        pool: &Pool,
         mode: BuildMode,
-    ) -> Result<Self, GraphError> {
+    ) -> Result<Built, GraphError> {
         let _span = Span::enter("graph_build");
-        let usable = usable_vms(&space, vm_types);
-        if usable.is_empty() {
+        let vm_types = usable_vms(&space, vm_types);
+        if vm_types.is_empty() {
             return Err(GraphError::NoUsableVmTypes);
         }
-        let run = Self::root(space, mode, limits)?.replay(usable, limits, pool)?;
-        let graph = run.graph;
+        let mut interner = match mode {
+            BuildMode::Reachable => {
+                let mut interner = ProfileInterner::new();
+                interner.intern(space.empty_profile());
+                interner
+            }
+            BuildMode::Full => enumerate_full_space(&space, limits)?,
+        };
+        // Every node is added to the move table as it is minted (the
+        // starting nodes up front), so a frontier's per-kind placements
+        // are all in it before the frontier is expanded.
+        let mut moves = MoveTable::new(&space, &vm_types, interner.len());
+        for profile in interner.profiles() {
+            moves.add_node(profile.values());
+        }
+
+        let pool = Pool::global();
+        let mut succ: Vec<NodeId> = Vec::new();
+        let mut succ_off: Vec<usize> = vec![0];
+        let mut gsucc: Vec<NodeId> = Vec::new();
+        let mut goff: Vec<usize> = vec![0];
+        let mut buf: Vec<NodeId> = Vec::new();
+        let mut dedup_hits = 0u64;
+        // Every edge strictly increases total usage, so nodes discovered
+        // while merging frontier node `j` sort after everything
+        // discovered from frontier nodes `< j`: processing frontiers in
+        // insertion order visits the same nodes in the same order as a
+        // plain FIFO queue, and each node is fully expanded exactly once.
+        let mut level_start = 0usize;
+        while level_start < interner.len() {
+            // Expand the whole frontier in parallel; its chunks land on
+            // worker lanes when tracing.
+            let expansions: Vec<Expansion> = {
+                let _expand = Span::enter("expand");
+                let frontier: Vec<NodeId> = (level_start..interner.len()).map(nid).collect();
+                pool.map(&frontier, |&node| expand_node(&moves, node, vm_types.len()))
+            };
+            level_start = interner.len();
+            // The sequential id-minting merge, which also adds each
+            // minted node to the move table. The expand/stitch split
+            // is what makes the speedup story diagnosable in a trace
+            // (parallel compute vs serial merge).
+            let stitch_span = Span::enter("stitch");
+            for exp in expansions {
+                buf.clear();
+                let mut tuples = exp.states.chunks_exact(moves.width());
+                for &count in &exp.counts {
+                    for tuple in tuples.by_ref().take(count) {
+                        let id = match moves.node_of(tuple) {
+                            Some(id) => {
+                                dedup_hits += 1;
+                                id
+                            }
+                            None => {
+                                check_room(&interner, limits)?;
+                                moves.add_states(tuple);
+                                interner.push_distinct(moves.profile(tuple)).node()
+                            }
+                        };
+                        gsucc.push(id);
+                        buf.push(id);
+                    }
+                    goff.push(gsucc.len());
+                }
+                buf.sort_unstable();
+                buf.dedup();
+                succ.extend_from_slice(&buf);
+                succ_off.push(succ.len());
+            }
+            drop(stitch_span);
+        }
+
+        let util = interner
+            .profiles()
+            .iter()
+            .map(|p| space.utilization(p))
+            .collect();
+        let kind_moves = moves.kind_moves();
+        let built = Built {
+            graph: Self {
+                space,
+                vm_types,
+                interner,
+                succ,
+                succ_off,
+                gsucc,
+                goff,
+                util,
+                mode,
+            },
+            dedup_hits,
+            kind_moves,
+        };
+        let graph = &built.graph;
+        prvm_obs::counter!("graph.nodes", convert::usize_to_u64(graph.node_count()));
+        prvm_obs::counter!("graph.edges", convert::usize_to_u64(graph.edge_count()));
+        prvm_obs::counter!("graph.dedup_hits", built.dedup_hits);
+        prvm_obs::counter!("graph.kind_moves", built.kind_moves);
         prvm_obs::event("graph.built")
             .field(
                 "mode",
@@ -285,49 +371,25 @@ impl ProfileGraph {
             )
             .field("nodes", graph.node_count())
             .field("edges", graph.edge_count())
-            .field("dedup_hits", run.dedup_hits)
-            .field("kind_moves", run.kind_moves)
+            .field("dedup_hits", built.dedup_hits)
+            .field("kind_moves", built.kind_moves)
             .field("vm_types", graph.vm_types.len())
             .emit();
-        Ok(graph)
+        Ok(built)
     }
 
-    /// A graph with no VM types over the replay's starting nodes: the
-    /// empty profile, or every canonical profile for [`BuildMode::Full`].
-    /// Every node is an endpoint and the expansion cache is empty.
-    fn root(space: ProfileSpace, mode: BuildMode, limits: GraphLimits) -> Result<Self, GraphError> {
-        let interner = match mode {
-            BuildMode::Reachable => {
-                let mut interner = ProfileInterner::new();
-                interner.intern(space.empty_profile());
-                interner
-            }
-            BuildMode::Full => enumerate_full_space(&space, limits)?,
-        };
-        Ok(Self {
-            space,
-            vm_types: Vec::new(),
-            succ: Vec::new(),
-            succ_off: vec![0; interner.len() + 1],
-            gsucc: Vec::new(),
-            goff: vec![0],
-            util: Vec::new(),
-            interner,
-            mode,
-        })
-    }
-
-    /// Rebuild this graph for a catalog grown by `delta` VM types, on
-    /// the global worker [`Pool`].
+    /// Rebuild this graph for a catalog grown by `delta` VM types. The
+    /// result is bit-for-bit identical to a fresh build (of the same
+    /// mode) over `self.vm_types() ++ delta`, at any worker count, and
+    /// is made one of two ways:
     ///
-    /// The BFS is *replayed* over the merged catalog, but for `(node,
-    /// VM type)` pairs already present in this graph the expansion
-    /// cache answers — only profiles first reached through a delta
-    /// edge, plus every node's delta-VM expansions, are enumerated
-    /// afresh. Ids are minted in replay
-    /// (= from-scratch) discovery order, so the result is bit-for-bit
-    /// identical to a fresh build (of the same mode) over
-    /// `self.vm_types() ++ delta`, at any worker count.
+    /// - **alias** — every usable delta type repeats the demands of a
+    ///   type this graph already has (a refresh, or an empty usable
+    ///   delta). Its groups are copies of that type's groups, so the
+    ///   nodes, the successor CSR and the utilizations stay this
+    ///   graph's and no node is minted;
+    /// - **cold** — otherwise, the merged catalog is built from
+    ///   scratch on the global worker [`Pool`].
     ///
     /// ```
     /// use pagerankvm::{GraphLimits, ProfileGraph, ProfileSpace, ProfileVm};
@@ -353,6 +415,14 @@ impl ProfileGraph {
     ///     .node_ids()
     ///     .all(|id| extended.successors(id) == scratch.successors(id)
     ///         && extended.profile(id) == scratch.profile(id)));
+    ///
+    /// // A renamed `[1,1]` repeats a known footprint: an alias, whose
+    /// // groups are copies of `[1,1]`'s and which reaches no new node.
+    /// let renamed = vec![ProfileVm::from_demands("[1,1]'", vec![vec![1, 1]])];
+    /// let refreshed = base.extend(renamed, GraphLimits::default())?;
+    /// assert_eq!(refreshed.node_count(), base.node_count());
+    /// assert!(refreshed.node_ids().all(|id| refreshed.vm_successors(id, 1)
+    ///     == base.vm_successors(id, 0)));
     /// # Ok::<(), pagerankvm::GraphError>(())
     /// ```
     ///
@@ -361,221 +431,74 @@ impl ProfileGraph {
     /// Same conditions as [`Self::build`] over the merged catalog.
     pub fn extend(&self, delta: Vec<ProfileVm>, limits: GraphLimits) -> Result<Self, GraphError> {
         let _span = Span::enter("graph_extend");
-        let usable_delta = usable_vms(&self.space, delta);
-        if usable_delta.is_empty() {
-            // Nothing usable changed: the merged catalog equals ours, and
-            // a replay would reproduce this graph field for field.
-            return Ok(self.clone());
-        }
-        let run = self.replay(usable_delta, limits, &Pool::global())?;
-        let graph = run.graph;
-        prvm_obs::counter!("graph.extend.cached_groups", run.cached_groups);
-        prvm_obs::counter!("graph.extend.computed_groups", run.computed_groups);
+        let delta = usable_vms(&self.space, delta);
+        // Per delta type, the index of the type whose demands it
+        // repeats, if every delta type has one.
+        let sources: Option<Vec<usize>> = delta
+            .iter()
+            .map(|vm| {
+                self.vm_types
+                    .iter()
+                    .position(|known| known.demands() == vm.demands())
+            })
+            .collect();
+        let (graph, path) = match sources {
+            Some(sources) => (self.alias(delta, &sources), "alias"),
+            None => {
+                let merged = self.vm_types.iter().cloned().chain(delta).collect();
+                let built = Self::build_cold(self.space.clone(), merged, limits, self.mode)?;
+                (built.graph, "cold")
+            }
+        };
         prvm_obs::event("graph.extended")
+            .field("path", path)
             .field("nodes", graph.node_count())
             .field(
                 "new_nodes",
                 graph.node_count().saturating_sub(self.node_count()),
             )
             .field("edges", graph.edge_count())
-            .field("dedup_hits", run.dedup_hits)
-            .field("cached_groups", run.cached_groups)
-            .field("computed_groups", run.computed_groups)
-            .field("kind_moves", run.kind_moves)
             .field("vm_types", graph.vm_types.len())
             .emit();
         Ok(graph)
     }
 
-    /// The one graph-construction routine: a level-synchronous BFS over
-    /// `self.vm_types() ++ delta`, seeded with this graph's starting
-    /// nodes under their own ids (node 0 for [`BuildMode::Reachable`],
-    /// every node for [`BuildMode::Full`]). Old `(node, VM)` expansions
-    /// are replayed from the expansion cache, each entry translated
-    /// through the old→new id map (minting on a miss), and an old
-    /// node's successor row is its base row translated the same way;
-    /// the rest are read from a `MoveTable` on the pool as per-kind
-    /// state tuples, looked up in the table's node index (minting on a
-    /// miss) and merged into the row. Ids are minted in first-discovery
-    /// order, so a replay over a root with no VM types is a cold build,
-    /// and a replay over any graph equals the cold build of the merged
-    /// catalog. Counts `graph.{nodes,edges,dedup_hits,kind_moves}`; the
-    /// caller emits its event.
-    fn replay(
-        &self,
-        delta: Vec<ProfileVm>,
-        limits: GraphLimits,
-        pool: &Pool,
-    ) -> Result<Replayed, GraphError> {
-        let space = self.space.clone();
-        let old_v = self.vm_types.len();
-        let merged: Vec<ProfileVm> = self.vm_types.iter().cloned().chain(delta).collect();
-        // Every node is added to the move table as it is minted, so a
-        // frontier's per-kind placements are all in it before the
-        // frontier is expanded.
-        let mut moves = MoveTable::new(&space, &merged, self.node_count());
-
-        let seeds = match self.mode {
-            BuildMode::Reachable => 1,
-            BuildMode::Full => self.node_count(),
-        };
-        // Starting nodes keep their base ids: both id maps begin as the
-        // identity over them.
-        let mut new2old: Vec<NodeId> = Vec::with_capacity(self.node_count());
-        new2old.extend((0..seeds).map(nid));
-        let mut old2new = new2old.clone();
-        old2new.resize(self.node_count(), UNMAPPED);
-        let mut interner = ProfileInterner::with_capacity(self.node_count());
-        for &id in &new2old {
-            moves.add_node(self.profile(id).values());
-            interner.push_distinct(self.profile(id).clone());
-        }
-
-        let mut succ: Vec<NodeId> = Vec::new();
-        let mut succ_off: Vec<usize> = vec![0];
-        let mut gsucc: Vec<NodeId> = Vec::with_capacity(self.gsucc.len());
-        let mut goff: Vec<usize> = vec![0];
-        let mut buf: Vec<NodeId> = Vec::new();
-        let mut dedup_hits = 0u64;
-        let mut computed_groups = 0u64;
-        let mut cached_groups = 0u64;
-        // Every edge strictly increases total usage, so nodes discovered
-        // while merging frontier node `j` sort after everything
-        // discovered from frontier nodes `< j`: processing frontiers in
-        // insertion order visits the same nodes in the same order as a
-        // plain FIFO queue, and each node is fully expanded exactly once.
-        let mut level_start = 0usize;
-        while level_start < interner.len() {
-            // Expand the whole frontier in parallel; its chunks land on
-            // worker lanes when tracing. Workers read the move table only
-            // where the expansion cache cannot answer: delta VMs
-            // everywhere, plus every VM on nodes this graph has never
-            // seen.
-            let expansions: Vec<Expansion> = {
-                let _expand = Span::enter("expand");
-                let jobs: Vec<(usize, bool)> = (level_start..interner.len())
-                    .map(|j| (j, new2old[j] != UNMAPPED))
-                    .collect();
-                pool.map(&jobs, |&(j, is_old)| {
-                    let computed = if is_old { old_v } else { 0 }..merged.len();
-                    expand_node(&moves, nid(j), computed)
-                })
-            };
-            let frontier_start = level_start;
-            level_start = interner.len();
-            // The sequential id-minting merge, which also adds each
-            // minted node to the move table. The expand/stitch split
-            // is what makes the speedup story diagnosable in a trace
-            // (parallel compute vs serial merge).
-            let stitch_span = Span::enter("stitch");
-            for (offset, exp) in expansions.into_iter().enumerate() {
-                let j = frontier_start + offset;
-                let old_id = new2old[j];
-                buf.clear();
-                if old_id != UNMAPPED {
-                    // Replay the cached expansions: same outcomes in the
-                    // same enumeration order `place` would give.
-                    for v in 0..old_v {
-                        cached_groups += 1;
-                        for &old_s in self.vm_successors(old_id, v) {
-                            let id = match old2new[ix(old_s)] {
-                                UNMAPPED => {
-                                    check_room(&interner, limits)?;
-                                    moves.add_node(self.profile(old_s).values());
-                                    let id =
-                                        interner.push_distinct(self.profile(old_s).clone()).node();
-                                    old2new[ix(old_s)] = id;
-                                    new2old.push(old_s);
-                                    id
-                                }
-                                id => {
-                                    dedup_hits += 1;
-                                    id
-                                }
-                            };
-                            gsucc.push(id);
-                        }
-                        goff.push(gsucc.len());
-                    }
-                    // The base row is the sorted, deduplicated union of
-                    // the groups just translated, so every id in it is
-                    // mapped by now: seed `buf` with it rather than
-                    // re-collecting every group entry.
-                    buf.extend(self.successors(old_id).iter().map(|&s| {
-                        let id = old2new[ix(s)];
-                        debug_assert!(id != UNMAPPED, "base row id {s} unmapped");
-                        id
-                    }));
-                }
-                let mut tuples = exp.states.chunks_exact(moves.width());
-                for &count in &exp.counts {
-                    computed_groups += 1;
-                    for tuple in tuples.by_ref().take(count) {
-                        let id = match moves.node_of(tuple) {
-                            Some(id) => {
-                                dedup_hits += 1;
-                                id
-                            }
-                            None => {
-                                check_room(&interner, limits)?;
-                                moves.add_states(tuple);
-                                let profile = moves.profile(tuple);
-                                // A delta edge can be the first road into
-                                // a profile this graph already knows:
-                                // link the id spaces so its cached
-                                // expansions replay later.
-                                let old = self.interner.get(profile.values());
-                                let id = interner.push_distinct(profile).node();
-                                match old {
-                                    Some(old_pid) => {
-                                        old2new[old_pid.index()] = id;
-                                        new2old.push(old_pid.node());
-                                    }
-                                    None => new2old.push(UNMAPPED),
-                                }
-                                id
-                            }
-                        };
-                        gsucc.push(id);
-                        buf.push(id);
-                    }
-                    goff.push(gsucc.len());
-                }
-                buf.sort_unstable();
-                buf.dedup();
-                succ.extend_from_slice(&buf);
-                succ_off.push(succ.len());
+    /// This graph with `delta` appended to its VM types, where
+    /// `delta[a]` repeats the demands of `vm_types()[sources[a]]`: each
+    /// node's groups are its own, then a copy of each source's group in
+    /// delta order. A cold build of the merged catalog reaches every
+    /// outcome of an alias through its source first, so it mints the
+    /// same nodes in the same order, and this is that build.
+    fn alias(&self, delta: Vec<ProfileVm>, sources: &[usize]) -> Self {
+        let copied: usize = self
+            .node_ids()
+            .map(|id| {
+                sources
+                    .iter()
+                    .map(|&vm| self.vm_successors(id, vm).len())
+                    .sum::<usize>()
+            })
+            .sum();
+        let mut gsucc = Vec::with_capacity(self.gsucc.len() + copied);
+        let mut goff = Vec::with_capacity(self.goff.len() + self.node_count() * sources.len());
+        goff.push(0);
+        for id in self.node_ids() {
+            for vm in (0..self.vm_types.len()).chain(sources.iter().copied()) {
+                gsucc.extend_from_slice(self.vm_successors(id, vm));
+                goff.push(gsucc.len());
             }
-            drop(stitch_span);
         }
-
-        let util = interner
-            .profiles()
-            .iter()
-            .map(|p| space.utilization(p))
-            .collect();
-        prvm_obs::counter!("graph.nodes", convert::usize_to_u64(interner.len()));
-        prvm_obs::counter!("graph.edges", convert::usize_to_u64(succ.len()));
-        prvm_obs::counter!("graph.dedup_hits", dedup_hits);
-        let kind_moves = moves.kind_moves();
-        prvm_obs::counter!("graph.kind_moves", kind_moves);
-        Ok(Replayed {
-            graph: Self {
-                space,
-                vm_types: merged,
-                interner,
-                succ,
-                succ_off,
-                gsucc,
-                goff,
-                util,
-                mode: self.mode,
-            },
-            dedup_hits,
-            cached_groups,
-            computed_groups,
-            kind_moves,
-        })
+        Self {
+            space: self.space.clone(),
+            vm_types: self.vm_types.iter().cloned().chain(delta).collect(),
+            interner: self.interner.clone(),
+            succ: self.succ.clone(),
+            succ_off: self.succ_off.clone(),
+            gsucc,
+            goff,
+            util: self.util.clone(),
+            mode: self.mode,
+        }
     }
 
     /// Reassemble a graph from serialized parts (the PVSB cache loader).
@@ -676,11 +599,11 @@ impl ProfileGraph {
         &self.succ[self.succ_off[ix(id)]..self.succ_off[ix(id) + 1]]
     }
 
-    /// The cached expansion of one `(node, VM type)` pair: outcome ids
+    /// The expansion group of one `(node, VM type)` pair: outcome ids
     /// of `place(profile(id), vm_types()[vm])` in enumeration order
     /// (duplicates across VM types are *not* removed here — that is
-    /// [`Self::successors`]). This is the cache [`Self::extend`]
-    /// replays.
+    /// [`Self::successors`]). [`Self::extend`] copies these for a delta
+    /// type that repeats a known footprint.
     ///
     /// # Panics
     ///
@@ -714,14 +637,14 @@ impl ProfileGraph {
     }
 }
 
-/// Read the outcomes of each VM index in `vms` on node `node` from the
-/// move table, as state tuples with per-VM counts. Runs on workers;
+/// Read the outcomes of each of the `vms` VM types on node `node` from
+/// the move table, as state tuples with per-VM counts. Runs on workers;
 /// outcome order is `place`'s enumeration order.
-fn expand_node(moves: &MoveTable<'_>, node: NodeId, vms: Range<usize>) -> Expansion {
+fn expand_node(moves: &MoveTable<'_>, node: NodeId, vms: usize) -> Expansion {
     let mut states: Vec<ProfileId> = Vec::new();
-    let mut counts: Vec<usize> = Vec::with_capacity(vms.len());
+    let mut counts: Vec<usize> = Vec::with_capacity(vms);
     let mut row = vec![ProfileId(0); moves.width()];
-    for vm in vms {
+    for vm in 0..vms {
         counts.push(moves.place_into(node, vm, &mut row, &mut states));
     }
     Expansion { states, counts }
@@ -817,6 +740,7 @@ mod tests {
     }
 
     fn assert_graphs_identical(a: &ProfileGraph, b: &ProfileGraph) {
+        assert_eq!(a.mode, b.mode);
         assert_eq!(a.node_count(), b.node_count());
         assert_eq!(a.edge_count(), b.edge_count());
         assert_eq!(
@@ -951,36 +875,55 @@ mod tests {
         assert_eq!(g.profile(endpoints[0]), &g.space().best_profile());
     }
 
+    /// The extend cases on the paper's `[4,4,4,4]` space, as `(base
+    /// catalog, delta, aliased)`: a new footprint, a known one, two
+    /// known ones at once (in the opposite order to their sources), a
+    /// known plus a new one, a delta that fits no VM slot, and an empty
+    /// delta. `aliased` marks the deltas that add no new footprint.
+    fn paper_extend_cases() -> Vec<(Vec<ProfileVm>, Vec<ProfileVm>, bool)> {
+        let vm = |name: &str, demands: Vec<u64>| ProfileVm::from_demands(name, vec![demands]);
+        let small = vm("[1,1]", vec![1, 1]);
+        let big = vm("[1,1,1,1]", vec![1, 1, 1, 1]);
+        let small2 = vm("[1,1]'", vec![1, 1]);
+        let big2 = vm("[1,1,1,1]'", vec![1, 1, 1, 1]);
+        let huge = vm("[9]", vec![9]);
+        vec![
+            (vec![small.clone()], vec![big.clone()], false),
+            (vec![small.clone()], vec![small2.clone()], true),
+            (
+                vec![small.clone(), big.clone()],
+                vec![big2, small2.clone()],
+                true,
+            ),
+            (vec![small.clone()], vec![small2, big], false),
+            (vec![small.clone()], vec![huge], true),
+            (vec![small], Vec::new(), true),
+        ]
+    }
+
+    /// Every paper extend case equals `build` of the merged catalog, and
+    /// an aliased one keeps its base's successor CSR.
+    fn assert_extends_match_scratch(
+        build: fn(ProfileSpace, Vec<ProfileVm>, GraphLimits) -> Result<ProfileGraph, GraphError>,
+    ) {
+        let space = ProfileSpace::uniform(4, 4);
+        let limits = GraphLimits::default();
+        for (base_vms, delta, aliased) in paper_extend_cases() {
+            let base = build(space.clone(), base_vms.clone(), limits).unwrap();
+            let extended = base.extend(delta.clone(), limits).unwrap();
+            let merged = base_vms.into_iter().chain(delta).collect();
+            let scratch = build(space.clone(), merged, limits).unwrap();
+            assert_graphs_identical(&extended, &scratch);
+            if aliased {
+                assert_eq!(extended.succ, base.succ);
+                assert_eq!(extended.succ_off, base.succ_off);
+            }
+        }
+    }
+
     #[test]
     fn extend_matches_scratch_build_on_paper_example() {
-        let space = ProfileSpace::uniform(4, 4);
-        let small = ProfileVm::from_demands("[1,1]", vec![vec![1, 1]]);
-        let big = ProfileVm::from_demands("[1,1,1,1]", vec![vec![1, 1, 1, 1]]);
-        let base = ProfileGraph::build(space.clone(), vec![small.clone()], GraphLimits::default())
-            .unwrap();
-        let extended = base
-            .extend(vec![big.clone()], GraphLimits::default())
-            .unwrap();
-        let scratch = ProfileGraph::build(
-            space.clone(),
-            vec![small.clone(), big],
-            GraphLimits::default(),
-        )
-        .unwrap();
-        assert_graphs_identical(&extended, &scratch);
-
-        // A same-footprint delta (a renamed [1,1]) lands every outcome
-        // on a node the base already numbered: the successor CSR stays
-        // the base's.
-        let renamed = ProfileVm::from_demands("[1,1]'", vec![vec![1, 1]]);
-        let refreshed = base
-            .extend(vec![renamed.clone()], GraphLimits::default())
-            .unwrap();
-        let scratch =
-            ProfileGraph::build(space, vec![small, renamed], GraphLimits::default()).unwrap();
-        assert_graphs_identical(&refreshed, &scratch);
-        assert_eq!(refreshed.succ, base.succ);
-        assert_eq!(refreshed.succ_off, base.succ_off);
+        assert_extends_match_scratch(ProfileGraph::build);
     }
 
     #[test]
@@ -1003,93 +946,38 @@ mod tests {
     }
 
     #[test]
-    fn extend_with_unusable_delta_is_identity() {
-        let g = paper_graph();
-        let e = g
-            .extend(
-                vec![ProfileVm::from_demands("huge", vec![vec![9]])],
-                GraphLimits::default(),
-            )
-            .unwrap();
-        assert_graphs_identical(&g, &e);
-    }
-
-    #[test]
     fn extend_full_matches_scratch_full_build() {
-        let space = ProfileSpace::uniform(4, 4);
-        let small = ProfileVm::from_demands("[1,1]", vec![vec![1, 1]]);
-        let big = ProfileVm::from_demands("[1,1,1,1]", vec![vec![1, 1, 1, 1]]);
-        let base =
-            ProfileGraph::build_full(space.clone(), vec![small.clone()], GraphLimits::default())
-                .unwrap();
-        let extended = base
-            .extend(vec![big.clone()], GraphLimits::default())
-            .unwrap();
-        let scratch =
-            ProfileGraph::build_full(space, vec![small, big], GraphLimits::default()).unwrap();
-        assert_graphs_identical(&extended, &scratch);
+        assert_extends_match_scratch(ProfileGraph::build_full);
     }
 
-    /// The default-quantizer M3 space and the EC2 catalog in it.
-    fn default_m3() -> (ProfileSpace, Vec<ProfileVm>) {
+    /// The cold build's tallies on the default-quantizer M3 table, as
+    /// `[kind_moves, dedup_hits, groups]` (one group per node and VM
+    /// type). The structural `c3.xlarge` extend of the base (every EC2
+    /// type but `c3.xlarge`) equals that build.
+    #[test]
+    fn build_tallies_are_pinned_on_the_default_m3_table() {
         use prvm_model::{catalog, Quantizer, VmSpec};
+        let limits = GraphLimits::default();
         let quantizer = Quantizer::default();
         let pm = catalog::pm_m3();
         let space = ProfileSpace::from_quantized_pm(&quantizer.quantize_pm(&pm));
         let demand = |v: &VmSpec| space.vm_demand(&quantizer.quantize_vm(v, &pm));
         let mut vms: Vec<ProfileVm> = catalog::ec2_vm_types().iter().filter_map(demand).collect();
-        let m3 = catalog::vm_m3_2xlarge();
-        let renamed = VmSpec::new(
-            "m3.2xlarge.g2",
-            m3.vcpus,
-            m3.vcpu_mhz,
-            m3.memory,
-            m3.disks().to_vec(),
+        let cold =
+            ProfileGraph::build_cold(space.clone(), vms.clone(), limits, BuildMode::Reachable)
+                .unwrap();
+        let graph = &cold.graph;
+        assert_eq!(graph.node_count(), 82_265);
+        let groups = convert::usize_to_u64(graph.node_count() * graph.vm_types().len());
+        assert_eq!(
+            [cold.kind_moves, cold.dedup_hits, groups],
+            [3_486, 3_227_496, 493_590]
         );
-        vms.extend(demand(&renamed));
-        (space, vms)
-    }
 
-    fn tallies(run: &Replayed) -> [u64; 4] {
-        [
-            run.kind_moves,
-            run.dedup_hits,
-            run.cached_groups,
-            run.computed_groups,
-        ]
-    }
-
-    /// The replay's tallies on the default M3 table: the cold build of
-    /// the EC2 catalog, the structural `c3.xlarge` extend of the base
-    /// (every type but `c3.xlarge`), and the identity extend of that
-    /// base by a renamed `m3.2xlarge`. Each is
-    /// `[kind_moves, dedup_hits, cached_groups, computed_groups]`.
-    #[test]
-    fn replay_tallies_are_pinned_on_the_default_m3_table() {
-        let limits = GraphLimits::default();
-        let pool = Pool::global();
-        let (space, mut vms) = default_m3();
-        let renamed = vms.pop().unwrap();
-        assert_eq!(renamed.name, "m3.2xlarge.g2");
         let structural = vms.pop().unwrap();
         assert_eq!(structural.name, "c3.xlarge");
-
-        let root = || ProfileGraph::root(space.clone(), BuildMode::Reachable, limits).unwrap();
-        let mut catalog = vms.clone();
-        catalog.push(structural.clone());
-        let cold = root().replay(catalog, limits, &pool).unwrap();
-        assert_eq!(cold.graph.node_count(), 82_265);
-        let base = root().replay(vms, limits, &pool).unwrap().graph;
-        let extend = base.replay(vec![structural], limits, &pool).unwrap();
-        let refresh = base.replay(vec![renamed], limits, &pool).unwrap();
-
-        let got = [tallies(&cold), tallies(&extend), tallies(&refresh)];
-        let want = [
-            [3_486, 3_227_496, 0, 493_590],
-            [3_486, 3_227_496, 187_340, 306_250],
-            [2_946, 1_073_823, 187_340, 37_468],
-        ];
-        assert_eq!(got, want);
+        let base = ProfileGraph::build(space, vms, limits).unwrap();
+        assert_graphs_identical(&base.extend(vec![structural], limits).unwrap(), graph);
     }
 
     #[test]

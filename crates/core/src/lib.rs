@@ -16,12 +16,14 @@
 //!    double as graph node ids;
 //! 3. [`graph`] — the profile graph: `A → B` iff hosting one VM turns
 //!    profile `A` into profile `B`; built CSR-first over the interner,
-//!    with [`ProfileGraph::extend`] for incremental catalog deltas;
+//!    with [`ProfileGraph::extend`] for catalog deltas (alias a known
+//!    footprint, otherwise build the merged catalog cold);
 //! 4. [`mod@pagerank`] — Algorithm 1: iterative PageRank with damping 0.85,
 //!    plus [`pagerank_warm`] restarting power iteration from a previous run;
 //! 5. [`bpru`] — the Best-Possible-Resource-Utilization discount;
 //! 6. [`table`] — the Profile–PageRank score table consulted at placement
-//!    time, with incremental `extend`/`build_seeded` paths;
+//!    time, with `extend` (graph extend plus warm-started PageRank) and
+//!    `build_seeded`, its from-scratch reference;
 //! 7. [`cache`] — the persisted `PVSB` score-book artifact
 //!    (versioned, checksummed, catalog-hash keyed);
 //! 8. [`placer`] — Algorithm 2 (initial allocation) and the paper's

@@ -58,29 +58,30 @@ impl ScoreTable {
         Ok(Self::from_graph(graph, pr))
     }
 
-    /// Incrementally rebuild this table for a catalog grown by `delta`
-    /// VM types: [`ProfileGraph::extend`] replays the BFS against the
-    /// expansion cache, [`pagerank_warm`] restarts power iteration from
-    /// this table's converged scores, and the BPRU discount is
-    /// recomputed over the extended graph. Bit-identical to
-    /// [`Self::build_seeded`] over the same `(base, delta)` history
-    /// (DESIGN.md §15).
+    /// Rebuild this table for a catalog grown by `delta` VM types:
+    /// [`ProfileGraph::extend`] aliases a delta that only repeats known
+    /// footprints and otherwise builds the merged graph cold,
+    /// [`pagerank_warm`] restarts power iteration from this table's
+    /// converged scores, and the BPRU discount is recomputed over the
+    /// extended graph. Bit-identical to [`Self::build_seeded`] over the
+    /// same `(base, delta)` history (DESIGN.md §15).
     ///
-    /// The warm start pays only for deltas that leave the graph as it
-    /// was. In
+    /// The two graph paths cost very different amounts. In
     ///
     /// ```text
     /// bash perfbench/run.sh --workload book-refresh --seed 1 --seconds 20 --trace 1
     /// ```
     ///
+    /// `graph.extend_ms.identity` (a same-footprint refresh, aliased)
+    /// reads 8.6 ms per refresh and `graph.extend_ms.structural` (the
+    /// `c3.xlarge` delta, a cold build) 478 ms (medians of four runs,
+    /// seeds 1–4, one worker, 2 vCPUs). The warm start likewise pays
+    /// only for deltas that leave the graph as it was:
     /// `pagerank.warm_sweeps` is 16.5 per table against
     /// `pagerank.sweeps` = 101 for the two cold base tables, and that
-    /// mean is mostly same-footprint refreshes (2–3 sweeps): the
-    /// structural `c3.xlarge` delta still takes 46 of a cold run's 47
-    /// sweeps on M3 (see [`pagerank_warm`]). The graph side splits the
-    /// same way: `graph.extend_ms.identity` reads 71 ms per refresh
-    /// there, `graph.extend_ms.structural` 395 ms (medians of four
-    /// runs, one worker, 2 vCPUs).
+    /// mean is mostly same-footprint refreshes (2–3 sweeps); the
+    /// structural delta still takes 46 of a cold run's 47 sweeps on M3
+    /// (see [`pagerank_warm`]).
     ///
     /// # Errors
     ///
@@ -102,12 +103,9 @@ impl ScoreTable {
     /// PageRank from the freshly computed base scores.
     ///
     /// This is the comparator the determinism tests pin [`Self::extend`]
-    /// against: both paths see bit-identical graphs (extend replays BFS
-    /// discovery order exactly) and bit-identical warm seeds, so their
-    /// score tables must agree bit for bit. Both graphs come out of the
-    /// same replay routine, but the merged graph here is built cold —
-    /// every expansion is computed — while [`Self::extend`] answers
-    /// the base catalog's expansions from the base graph's cache.
+    /// against: both paths see bit-identical graphs (an extend's graph
+    /// is the merged catalog's, aliased or built cold) and bit-identical
+    /// warm seeds, so their score tables must agree bit for bit.
     ///
     /// # Errors
     ///
@@ -238,9 +236,10 @@ impl ScoreBook {
         Self::build_tables(quantizer, pm_specs, vm_types, None, config, limits)
     }
 
-    /// Incrementally rebuild every table for a catalog grown by
-    /// `delta_vm_types`: each table runs [`ScoreTable::extend`] with the
-    /// delta quantized into its PM type's space. PM types for which no
+    /// Rebuild every table for a catalog grown by `delta_vm_types`: each
+    /// table runs [`ScoreTable::extend`] with the delta quantized into
+    /// its PM type's space, so whether a table aliases or builds cold
+    /// depends on the footprints in that space. PM types for which no
     /// delta VM fits still re-run the (cheap) warm PageRank, so the
     /// result is bit-identical to [`Self::build_seeded`] over the same
     /// history on every table.

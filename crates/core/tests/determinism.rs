@@ -160,7 +160,7 @@ fn profiling_enabled_runs_are_bit_identical() {
     assert_same_pagerank(&profiled_pr, &reference_pr, "profiled");
 }
 
-/// Invariant 1 of the incremental score engine (DESIGN.md §15): graph
+/// Invariant 1 of the catalog-delta engine (DESIGN.md §15): graph
 /// identity. `extend` over a catalog delta reproduces the from-scratch
 /// build of the merged catalog bit-for-bit — at every worker count.
 #[test]

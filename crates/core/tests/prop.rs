@@ -203,21 +203,38 @@ proptest! {
 
     /// The graph builder's memoised per-kind placements reproduce the
     /// reference `place` on every node, for reachable and full-space
-    /// builds and for an extend, at 1 and 2 workers.
+    /// builds and for extends, at 1 and 2 workers. The extends grow the
+    /// first `split` drawn types by the rest, by renamed copies of drawn
+    /// base types (`repeats`, which alias a known footprint), or by both.
     #[test]
     fn expansion_groups_equal_reference_place(
         kinds in prop::collection::vec((1usize..4, 1u16..6), 1..4),
         raw in prop::collection::vec(prop::collection::vec(0u64..6, 9), 1..4),
+        split in 1usize..4,
+        repeats in prop::collection::vec(0usize..4, 0..3),
     ) {
         let (space, vms) = multi_kind_setting(&kinds, &raw);
+        let (base_vms, new_vms) = vms.split_at(split.min(vms.len()));
+        let known: Vec<ProfileVm> = repeats
+            .iter()
+            .map(|&i| {
+                let vm = &base_vms[i % base_vms.len()];
+                ProfileVm::from_demands(format!("{}'", vm.name), vm.demands().to_vec())
+            })
+            .collect();
+        let mixed: Vec<ProfileVm> = known.iter().chain(new_vms).cloned().collect();
         let limits = GraphLimits { max_nodes: 4000 };
         for threads in [1, 2] {
             prvm_par::set_global_threads(threads);
+            let base = ProfileGraph::build(space.clone(), base_vms.to_vec(), limits);
+            let full_base = ProfileGraph::build_full(space.clone(), base_vms.to_vec(), limits);
             let built = [
                 ProfileGraph::build(space.clone(), vms.clone(), limits),
                 ProfileGraph::build_full(space.clone(), vms.clone(), limits),
-                ProfileGraph::build(space.clone(), vms[..1].to_vec(), limits)
-                    .and_then(|base| base.extend(vms[1..].to_vec(), limits)),
+                base.clone().and_then(|g| g.extend(new_vms.to_vec(), limits)),
+                base.clone().and_then(|g| g.extend(known.clone(), limits)),
+                base.and_then(|g| g.extend(mixed.clone(), limits)),
+                full_base.and_then(|g| g.extend(known.clone(), limits)),
             ];
             for graph in built.iter().flatten() {
                 groups_match_place(graph)?;

@@ -1,4 +1,4 @@
-//! Invariant 3 of the incremental score engine (DESIGN.md §15): cache
+//! Invariant 3 of the catalog-delta engine (DESIGN.md §15): cache
 //! transparency. A PVSB round trip reproduces every score bit-for-bit
 //! (the golden tests), and **no** corruption of the artifact — any
 //! single bit flip, any truncation, a version bump — can ever surface

@@ -27,10 +27,11 @@ pub struct Quantizer {
 impl Default for Quantizer {
     /// 4 slots per core (paper §VI-A), 16 memory levels, 4 disk levels,
     /// with ≤ 8 % memory rounding error on every Table I type. For the
-    /// Table I/II catalog a traced `perfbench` sim-day run reports
-    /// `graph.nodes` = 82,287, `graph.edges` = 3,309,785 and
-    /// `graph.build_ms` ≈ 2,045 ms (release, 2-vCPU host), summed over
-    /// both PM types. Nearly all of it is the m3 PM's graph (82,265
+    /// Table I/II catalog a traced `perfbench` sim-day run,
+    /// `bash perfbench/run.sh --workload sim-day --seed N --seconds 5
+    /// --trace 1`, reports `graph.nodes` = 82,287, `graph.edges` =
+    /// 3,309,785 and `graph.build_ms` ≈ 428 ms (median of seeds 1–3,
+    /// release, one worker, 2-vCPU host), summed over both PM types. Nearly all of it is the m3 PM's graph (82,265
     /// nodes, 3,309,760 edges); the c3 PM's has 22 nodes and 25 edges.
     fn default() -> Self {
         Self {

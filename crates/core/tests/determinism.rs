@@ -380,6 +380,21 @@ fn cold_and_extended_graph_digests_are_pinned() {
         for (pm, table) in book.tables() {
             got.push((format!("coarse book {}", pm.name), table_digest(table)));
         }
+        // Full mode over a multi-kind space: every canonical profile is
+        // added before the BFS, a different insert order from the
+        // reachable build's.
+        let (_, m3) = book.tables().next().expect("M3 table");
+        let m3_full = ProfileGraph::build_full(
+            m3.graph().space().clone(),
+            m3.graph().vm_types().to_vec(),
+            limits,
+        )
+        .expect("coarse M3 build_full");
+        assert_eq!(
+            (m3_full.node_count(), m3_full.edge_count()),
+            (3_375, 24_414)
+        );
+        got.push(("coarse M3 full".into(), cold_digest(&m3_full)));
         let base_book = ScoreBook::build(
             coarse(),
             &catalog::ec2_pm_types(),
@@ -406,6 +421,7 @@ fn cold_and_extended_graph_digests_are_pinned() {
         ("paper full extend", 0x94e8c5bcd65c63b8),
         ("coarse book M3", 0x918634e0f50146fc),
         ("coarse book C3", 0xb32e445eeb89814f),
+        ("coarse M3 full", 0x5e70ccfd591bab90),
         ("coarse book extend M3", 0x385813043bc17829),
         ("coarse book extend C3", 0x22e9a9a279debcc3),
     ];

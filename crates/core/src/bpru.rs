@@ -21,20 +21,25 @@ use crate::graph::{ix, NodeId, ProfileGraph};
 #[must_use]
 pub fn bpru(graph: &ProfileGraph) -> Vec<f64> {
     let n = graph.node_count();
-    let mut order: Vec<NodeId> = graph.node_ids().collect();
-    let total = |id: NodeId| -> u64 {
-        graph
+    // Bucket the nodes by total usage, summed once per node. Every edge
+    // strictly raises the total, so the buckets in decreasing order are
+    // a reverse topological order, whatever the order within each.
+    let mut by_total: Vec<Vec<NodeId>> = Vec::new();
+    for id in graph.node_ids() {
+        let total: usize = graph
             .profile(id)
             .values()
             .iter()
-            .map(|&v| u64::from(v))
-            .sum()
-    };
-    // Reverse topological order: decreasing total usage.
-    order.sort_unstable_by_key(|&id| std::cmp::Reverse(total(id)));
+            .map(|&v| usize::from(v))
+            .sum();
+        if by_total.len() <= total {
+            by_total.resize_with(total + 1, Vec::new);
+        }
+        by_total[total].push(id);
+    }
 
     let mut out = vec![0.0f64; n];
-    for id in order {
+    for id in by_total.into_iter().rev().flatten() {
         let succ = graph.successors(id);
         out[ix(id)] = if succ.is_empty() {
             graph.utilization(id)

@@ -248,7 +248,7 @@ impl ProfileGraph {
     /// [`BuildMode::Reachable`]; every canonical profile, in id order,
     /// for [`BuildMode::Full`]). Expansions are read from a `MoveTable`
     /// on the global [`Pool`] as per-kind state tuples, looked up in the
-    /// table's node index and minted on a miss, so ids come out in
+    /// table's node trie and minted on a miss, so ids come out in
     /// first-discovery order. Counts
     /// `graph.{nodes,edges,dedup_hits,kind_moves}` and emits
     /// `graph.built`.

@@ -15,8 +15,8 @@
 //! node ids: the builder appends each node it mints, once, and the
 //! index then answers profile queries such as
 //! [`crate::ProfileGraph::node`]. The ~3.3M successor visits of a
-//! default EC2 build do not reach it; the move table's node index,
-//! keyed by per-kind state tuples, answers them.
+//! default EC2 build do not reach it: the move table finds each
+//! outcome's node in a dense trie over its per-kind state ids.
 
 use crate::profile::Profile;
 
@@ -80,10 +80,8 @@ fn fnv1a(values: &[u16]) -> u64 {
 
 /// An open-addressing index over dense ids `0..len`, whose keys live
 /// with the caller: the caller hashes a key (the low bits pick the
-/// slot) and tells [`Self::find`] which id holds it. The graph
-/// builder's two lookup tables share it: the [`ProfileInterner`]
-/// (profiles by value) and the move table's node index (nodes by
-/// per-kind state tuple, `profile.rs`).
+/// slot) and tells [`Self::find`] which id holds it. Its one user is
+/// the [`ProfileInterner`], which keys profiles by value.
 #[derive(Debug, Clone)]
 pub(crate) struct IdIndex {
     /// Power-of-two probe table; `slots[h & mask]` is `EMPTY` or `id + 1`.
@@ -134,12 +132,6 @@ impl IdIndex {
         for id in 0..=newest {
             self.place(id, hash_of(id));
         }
-    }
-
-    /// The number of slots (a power of two).
-    #[cfg(test)]
-    pub(crate) fn slots(&self) -> usize {
-        self.slots.len()
     }
 
     fn slot(&self, hash: u64) -> usize {
@@ -228,8 +220,8 @@ impl ProfileInterner {
     }
 
     /// Append a profile the caller knows is not interned yet, without
-    /// looking it up first: the graph builder's mint, whose own node
-    /// index has already ruled the profile out.
+    /// looking it up first: the graph builder's mint, whose move table
+    /// has already ruled the profile out.
     pub(crate) fn push_distinct(&mut self, profile: Profile) -> ProfileId {
         debug_assert!(
             self.get(profile.values()).is_none(),

@@ -9,8 +9,8 @@
 //! `{α,α,0,0}` and `{0,0,α,α}` map to the same canonical profile — while
 //! preserving exactly the distinctions that matter for ranking.
 
-use crate::graph::{ix, NodeId};
-use crate::intern::{IdIndex, ProfileId, ProfileInterner};
+use crate::graph::{ix, nid, NodeId};
+use crate::intern::{ProfileId, ProfileInterner};
 use prvm_model::combin;
 use prvm_model::units::convert;
 use prvm_model::{QuantizedPm, QuantizedVm};
@@ -251,7 +251,7 @@ impl ProfileSpace {
     }
 }
 
-/// The per-kind placements of one graph build, and its node index
+/// The per-kind placements of one graph build, and its node trie
 /// (DESIGN.md §15).
 ///
 /// A profile graph visits every node once per VM type, but the nodes
@@ -263,8 +263,9 @@ impl ProfileSpace {
 /// once, when the first node in that state is added. A node is its tuple
 /// of states, one per kind; its outcomes for a VM are the cartesian
 /// product of its states' rows, in [`ProfileSpace::place`]'s order, and
-/// each outcome tuple is looked up among the added nodes by hashing the
-/// tuple.
+/// each outcome tuple is looked up among the added nodes by walking a
+/// dense trie over the state ids: one bounds-checked load per kind, no
+/// hash and no key compare.
 ///
 /// The graph builder adds each node as it mints it (sequentially) and
 /// reads the table from its workers, so the table holds no locks.
@@ -275,8 +276,13 @@ pub(crate) struct MoveTable<'a> {
     /// Per added node, its state in each kind:
     /// `node_states[node * kinds + k]`.
     node_states: Vec<ProfileId>,
-    /// The added nodes, keyed by state tuple.
-    index: IdIndex,
+    /// The added nodes, as a trie over their state tuples. Block 0 is
+    /// indexed by the kind-0 state; an entry of a kind-`k` block is `0`
+    /// (no added node has that prefix) or, below the last kind, the index
+    /// of the kind-`k + 1` block and, on the last kind, `node + 1`. A
+    /// block is sized to its kind's state count when it is made and grows
+    /// when a later state is inserted, so a state past its end misses.
+    trie: Vec<Vec<u32>>,
     /// `place_multiset` calls made so far.
     kind_moves: u64,
 }
@@ -296,21 +302,9 @@ struct KindMoves {
 /// `KindMoves::first` of a state whose rows are not computed yet.
 const NO_ROWS: usize = usize::MAX;
 
-/// Hash of a state tuple: a multiplicative mix per state, its well-mixed
-/// upper half rotated into the low bits that pick a slot.
-/// Deterministic, like every hash in the builder.
-fn tuple_hash(states: &[ProfileId]) -> u64 {
-    states
-        .iter()
-        .fold(0u64, |h, s| {
-            (h ^ u64::from(s.0)).wrapping_mul(0x9e37_79b9_7f4a_7c15)
-        })
-        .rotate_left(32)
-}
-
 impl<'a> MoveTable<'a> {
-    /// An empty table for placing `vms` in `space`, its node index
-    /// sized for roughly `nodes` nodes.
+    /// An empty table for placing `vms` in `space`, sized for roughly
+    /// `nodes` nodes.
     pub(crate) fn new(space: &'a ProfileSpace, vms: &'a [ProfileVm], nodes: usize) -> Self {
         let kinds = space
             .kinds
@@ -327,7 +321,7 @@ impl<'a> MoveTable<'a> {
             vms,
             kinds,
             node_states: Vec::with_capacity(nodes * space.kinds.len()),
-            index: IdIndex::with_capacity(nodes),
+            trie: vec![Vec::new()],
             kind_moves: 0,
         }
     }
@@ -356,8 +350,15 @@ impl<'a> MoveTable<'a> {
 
     /// The added node whose state tuple is `states`, if any.
     pub(crate) fn node_of(&self, states: &[ProfileId]) -> Option<NodeId> {
-        self.index
-            .find(tuple_hash(states), |node| self.states_of(node) == states)
+        let (last, prefix) = states.split_last()?;
+        let mut block = &self.trie[0];
+        for state in prefix {
+            match *block.get(state.index())? {
+                0 => return None,
+                child => block = &self.trie[ix(child)],
+            }
+        }
+        block.get(last.index())?.checked_sub(1)
     }
 
     /// The profile whose kind usages are the states of `states`.
@@ -397,18 +398,32 @@ impl<'a> MoveTable<'a> {
     }
 
     /// Compute the rows of the last added node's states that have none,
-    /// then enter the node in the index.
+    /// then enter the node in the trie along its states' path, making
+    /// and growing blocks as needed.
     fn index_last(&mut self) {
         let n = self.kinds.len();
         let node = self.node_states.len() / n - 1;
         for k in 0..n {
             self.add_rows(k, self.node_states[node * n + k]);
         }
-        let node_states = &self.node_states;
-        self.index.push(node + 1, |id| {
-            let at = ix(id) * n;
-            tuple_hash(&node_states[at..at + n])
-        });
+        let mut block = 0;
+        for k in 0..n {
+            let state = self.node_states[node * n + k].index();
+            if self.trie[block].len() <= state {
+                self.trie[block].resize(self.kinds[k].states.len(), 0);
+            }
+            if k + 1 == n {
+                debug_assert_eq!(self.trie[block][state], 0, "node {node} added twice");
+                self.trie[block][state] = nid(node + 1);
+            } else if self.trie[block][state] == 0 {
+                let child = self.trie.len();
+                self.trie[block][state] = nid(child);
+                self.trie.push(vec![0; self.kinds[k + 1].states.len()]);
+                block = child;
+            } else {
+                block = ix(self.trie[block][state]);
+            }
+        }
     }
 
     /// Compute kind `k`'s rows of `state`, every VM in order, unless
@@ -811,14 +826,19 @@ mod tests {
         ];
         let graph = ProfileGraph::build(space.clone(), vms, GraphLimits::default()).unwrap();
         let mut moves = MoveTable::new(&space, graph.vm_types(), 0);
-        let start = moves.index.slots();
         // After each add, every pairing of the states known so far finds
         // exactly the node added with those states, or misses: checked
-        // at every load of the index, where probe runs are longest just
-        // before it grows.
-        let (mut hits, mut misses) = (0, 0);
+        // after every insert, including each one that grew a block to
+        // take a state minted after the block was sized.
+        let (mut hits, mut misses, mut grown) = (0, 0, 0);
         for id in graph.node_ids() {
+            let sizes: Vec<usize> = moves.trie.iter().map(Vec::len).collect();
             moves.add_node(graph.profile(id).values());
+            grown += sizes
+                .iter()
+                .zip(&moves.trie)
+                .filter(|&(&before, block)| before > 0 && block.len() > before)
+                .count();
             for a in 0..moves.kinds[0].states.len() {
                 for b in 0..moves.kinds[1].states.len() {
                     let states = [ProfileId(nid(a)), ProfileId(nid(b))];
@@ -836,10 +856,9 @@ mod tests {
         }
         assert!(hits > 0 && misses > 0);
         assert!(
-            moves.index.slots() >= start * 8,
-            "{} nodes grew the index from {start} to {} slots",
-            graph.node_count(),
-            moves.index.slots()
+            grown > 0,
+            "{} nodes never grew a sized block",
+            graph.node_count()
         );
 
         for id in graph.node_ids() {

@@ -73,8 +73,8 @@ impl ScoreTable {
     /// ```
     ///
     /// `graph.extend_ms.identity` (a same-footprint refresh, aliased)
-    /// reads 8.6 ms per refresh and `graph.extend_ms.structural` (the
-    /// `c3.xlarge` delta, a cold build) 478 ms (medians of four runs,
+    /// reads 6.5 ms per refresh and `graph.extend_ms.structural` (the
+    /// `c3.xlarge` delta, a cold build) 228 ms (medians of four runs,
     /// seeds 1–4, one worker, 2 vCPUs). The warm start likewise pays
     /// only for deltas that leave the graph as it was:
     /// `pagerank.warm_sweeps` is 16.5 per table against

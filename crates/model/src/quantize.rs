@@ -29,10 +29,14 @@ impl Default for Quantizer {
     /// with ≤ 8 % memory rounding error on every Table I type. For the
     /// Table I/II catalog a traced `perfbench` sim-day run,
     /// `bash perfbench/run.sh --workload sim-day --seed N --seconds 5
-    /// --trace 1`, reports `graph.nodes` = 82,287, `graph.edges` =
-    /// 3,309,785 and `graph.build_ms` ≈ 428 ms (median of seeds 1–3,
-    /// release, one worker, 2-vCPU host), summed over both PM types. Nearly all of it is the m3 PM's graph (82,265
-    /// nodes, 3,309,760 edges); the c3 PM's has 22 nodes and 25 edges.
+    /// --trace 1`, reports `graph.nodes` = 82,287 and `graph.edges` =
+    /// 3,309,785, summed over both PM types. Nearly all of it is the m3
+    /// PM's graph (82,265 nodes, 3,309,760 edges); the c3 PM's has 22
+    /// nodes and 25 edges. The m3 graph builds in ≈ 224 ms: the
+    /// `graph_build` cell of `pagerankvm bench --vms 1000 --threads 1
+    /// --repeats 9`, median of six processes (release, 2-vCPU host). A
+    /// single traced run times one cold build, which spreads too widely
+    /// to quote.
     fn default() -> Self {
         Self {
             core_slots: 4,

@@ -400,11 +400,14 @@ fn resp_with_id(resp: Response, id: u64) -> Response {
 }
 
 /// Per-connection reader: parse frames, admit jobs, answer protocol
-/// violations with a typed reply, then close.
+/// violations with a typed reply, then close. Replies go out with
+/// Nagle off, as the client's requests do: each is one small frame a
+/// waiting client needs now.
 fn reader_loop(stream: TcpStream, shared: &Arc<Shared>) {
-    if stream
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .is_err()
+    if stream.set_nodelay(true).is_err()
+        || stream
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .is_err()
     {
         return;
     }
